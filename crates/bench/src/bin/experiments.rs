@@ -2008,7 +2008,7 @@ fn e18_cluster() {
     const OPS: usize = 120;
     // Modeled reflector event-loop service time per routed call: the
     // single-threaded-daemon bottleneck E17's decode stall plays for
-    // room locks, now at the shard ingress.
+    // room locks, at the shard ingress (which only this model enters).
     const SERVICE_US: u64 = 300;
 
     /// A fresh cluster with rooms pinned round-robin across shards (the
@@ -2133,6 +2133,79 @@ fn e18_cluster() {
     };
     let scaling_1_to_4 = thr_of(4) / thr_of(1);
     println!("\nroom-throughput scaling 1->4 shards: {scaling_1_to_4:.2}x (gate: >= 2x)");
+
+    // ---- Part 1b: the unmodelled data plane, 1 vs 2 drivers on one shard -
+    // No service-time model: a routed call takes no shard-wide lock, so
+    // two drivers on disjoint rooms of one shard must not be slower than
+    // one. Act-only, the benchmark probe's mix (2/3 `Choose` — the click
+    // that reconfigures the CP-net — and 1/3 chat); alternating rounds,
+    // medians.
+    const UNMODELLED_OPS: usize = 48_000;
+    const UNMODELLED_ROUNDS: usize = 5;
+    let (cf, rooms, _doc_id, _image_id) = build(1, 0);
+    let conns: Vec<_> = rooms
+        .iter()
+        .enumerate()
+        .map(|(r, &room)| cf.join_default(room, &format!("user-{r}")).unwrap())
+        .collect();
+    let ct = cf
+        .shard_server(0)
+        .room_handle(rooms[0])
+        .unwrap()
+        .lock()
+        .document()
+        .component_by_name("item-0-0")
+        .unwrap();
+    let drive = |threads: usize| -> u64 {
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let (cf, rooms) = (&cf, &rooms);
+                scope.spawn(move || {
+                    let mine: Vec<usize> = (t..ROOMS).step_by(threads).collect();
+                    for i in 0..UNMODELLED_OPS / threads {
+                        let r = mine[i % mine.len()];
+                        let action = if i % 3 == 2 {
+                            Action::Chat {
+                                text: format!("op {i}"),
+                            }
+                        } else {
+                            Action::Choose {
+                                component: ct,
+                                form: i / mine.len() % 3,
+                            }
+                        };
+                        cf.act(rooms[r], &format!("user-{r}"), action).unwrap();
+                    }
+                });
+            }
+        });
+        let thr = (UNMODELLED_OPS as f64 / start.elapsed().as_secs_f64()) as u64;
+        // Keep member queues and replica journals far from their bounds.
+        for conn in &conns {
+            conn.events.try_iter().for_each(drop);
+        }
+        cf.maintain_replicas().unwrap();
+        thr
+    };
+    drive(2); // warm-up
+    let (mut thr_1t, mut thr_2t) = (Vec::new(), Vec::new());
+    for _ in 0..UNMODELLED_ROUNDS {
+        thr_1t.push(drive(1));
+        thr_2t.push(drive(2));
+    }
+    thr_1t.sort_unstable();
+    thr_2t.sort_unstable();
+    let (unmodelled_1t, unmodelled_2t) = (quantile(&thr_1t, 0.5), quantile(&thr_2t, 0.5));
+    let unmodelled_2t_ratio = unmodelled_2t as f64 / unmodelled_1t as f64;
+    println!(
+        "\npart 1b: unmodelled (service 0 µs), 1 shard, {ROOMS} rooms, act-only, \
+         {UNMODELLED_OPS} ops x {UNMODELLED_ROUNDS} rounds, {} cores",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    println!("  1 driver: {unmodelled_1t:>9} ops/s    2 drivers: {unmodelled_2t:>9} ops/s");
+    println!("  2-driver ratio: {unmodelled_2t_ratio:.2}x (gate: >= 1.0x)");
+    drop(conns);
 
     // ---- Part 2: live migration + seeded shard kill under traffic ------
     // Four shards, rooms pinned two per shard. Traffic runs in three
@@ -2273,6 +2346,8 @@ fn e18_cluster() {
             "{{\n  \"rooms\": {},\n  \"ops_per_room\": {},\n",
             "  \"ingress_service_us\": {},\n  \"runs\": [\n{}\n  ],\n",
             "  \"scaling_1_to_4_shards\": {:.3},\n",
+            "  \"unmodelled_1t_ops_s\": {},\n  \"unmodelled_2t_ops_s\": {},\n",
+            "  \"unmodelled_2t_ratio\": {:.3},\n",
             "  \"migrations\": {},\n  \"failover_rooms\": {},\n",
             "  \"failover_lossy_events\": {},\n  \"zero_event_loss\": true\n}}\n"
         ),
@@ -2281,6 +2356,9 @@ fn e18_cluster() {
         SERVICE_US,
         entries.join(",\n"),
         scaling_1_to_4,
+        unmodelled_1t,
+        unmodelled_2t,
+        unmodelled_2t_ratio,
         stats.migrations,
         stats.failover_rooms,
         stats.failover_lossy_events
@@ -2291,6 +2369,11 @@ fn e18_cluster() {
     assert!(
         scaling_1_to_4 >= 2.0,
         "E18: room throughput scaled only {scaling_1_to_4:.2}x from 1 to 4 shards (gate: >= 2x)"
+    );
+    assert!(
+        unmodelled_2t_ratio >= 1.0,
+        "E18: two drivers on one unmodelled shard ran at {unmodelled_2t_ratio:.2}x of one \
+         (gate: >= 1.0x) — something shard-wide is serialising routed calls again"
     );
     println!("(a dead shard costs only its own rooms one resync; everyone else never notices)");
 }

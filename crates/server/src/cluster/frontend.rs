@@ -3,22 +3,22 @@
 //!
 //! Architecture (the VRVS-style reflector federation of the related work):
 //! every client call names a room; the frontend looks the room up in the
-//! [`RoomDirectory`], checks the owning shard's health, and forwards the
-//! call under that shard's *ingress lock* — each shard models a
-//! single-threaded reflector daemon, so a shard serializes its own
-//! traffic while different shards proceed fully in parallel. Calls that
-//! hit a mid-migration room or a suspect shard retry with bounded
-//! backoff instead of erroring; only an exhausted retry budget surfaces
-//! [`ServerError::ShardUnavailable`] / [`ServerError::Migrating`].
+//! [`RoomDirectory`], checks the owning shard's published health, and
+//! forwards the call to that shard with no shard-wide lock — the room
+//! mutex inside the shard is the only exclusive lock a routed call takes,
+//! so two rooms proceed in parallel whether or not they share a shard.
+//! Calls that hit a mid-migration room or a suspect shard retry with
+//! bounded backoff instead of erroring; only an exhausted retry budget
+//! surfaces [`ServerError::ShardUnavailable`] / [`ServerError::Migrating`].
 //!
 //! Lock order (deadlock discipline, extending DESIGN.md §11's map → room
-//! order): `directory`, `health`, and `journals` are frontend-level locks,
-//! acquired and released *before* any shard is entered, never while an
-//! ingress, room-map, or room lock is held (the one exception: `journals`
-//! may be held across *control-plane* shard calls — tap/checkpoint — which
-//! take room locks but never ingress). The per-shard `ingress` lock is
-//! taken only by the data-plane `route`, holds no frontend lock, and is
-//! never nested with another shard's ingress.
+//! order): `directory(shared) → rooms-map(shared) → room`. `route` drops
+//! its directory read guard before it enters the shard; the directory's
+//! write side (create/close/reap/migrate/failover), `health` and
+//! `journals` are control-plane locks, never held across a data-plane
+//! shard call (`journals` may be held across tap/checkpoint, which take
+//! room locks). Health is read on the data plane from the per-shard
+//! gauges `advance` publishes, not from the `health` lock.
 
 use crate::error::{JoinRejectCause, Result, ServerError};
 use crate::events::{Action, TriggerCondition};
@@ -27,7 +27,7 @@ use crate::role::{JoinRequest, Role};
 use crate::room::{RoomConfig, RoomId, RoomStats, SharedObjectId};
 use crate::server::{ClientConnection, InteractionServer};
 use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use rcmo_core::Presentation;
 use rcmo_imaging::GrayImage;
 use rcmo_mediadb::MediaDb;
@@ -61,10 +61,12 @@ pub struct ClusterConfig {
     /// here are how an experiment injects deterministic shard stalls and
     /// partitions.
     pub heartbeat_faults: Vec<FaultSpec>,
-    /// Modeled service time of the shard's reflector event loop, held
-    /// under the ingress lock for every routed data-plane call (0 = none).
-    /// Experiments set this to make the single-threaded-daemon bottleneck
-    /// explicit, the way E17 models the slow CT decode.
+    /// Modeled service time of a single-threaded reflector event loop
+    /// (0 = no model, the default: routed calls take no shard-wide lock).
+    /// When set, every routed data-plane call first queues on its shard's
+    /// ingress mutex and holds it for this long plus the call itself. Only
+    /// E18 sets it, to make a one-daemon-per-shard bottleneck explicit the
+    /// way E17 models the slow CT decode.
     pub ingress_service_us: u64,
     /// Bounded retry budget for routed calls that hit a migrating room or
     /// an unhealthy shard.
@@ -145,9 +147,9 @@ impl ClusterStats {
 
 struct Shard {
     server: InteractionServer,
-    /// The shard's single-threaded "reflector event loop": every routed
-    /// data-plane call serializes through it. Never nested with another
-    /// shard's ingress.
+    /// The service-time model's single-threaded "reflector event loop":
+    /// taken by `route` only when [`ClusterConfig::ingress_service_us`]
+    /// is set. Guards no data.
     ingress: Mutex<()>,
 }
 
@@ -156,7 +158,7 @@ struct Shard {
 /// migration, and zero-event-loss failover.
 pub struct ClusterFrontend {
     shards: Vec<Shard>,
-    directory: Mutex<RoomDirectory>,
+    directory: RwLock<RoomDirectory>,
     health: Mutex<HealthTracker>,
     journals: Mutex<HashMap<RoomId, RoomJournal>>,
     next_room: AtomicU64,
@@ -225,7 +227,7 @@ impl ClusterFrontend {
             .collect();
         ClusterFrontend {
             shards,
-            directory: Mutex::new(RoomDirectory::new(config.shards, config.vnodes_per_shard)),
+            directory: RwLock::new(RoomDirectory::new(config.shards, config.vnodes_per_shard)),
             health: Mutex::new(health),
             journals: Mutex::new(HashMap::new()),
             next_room: AtomicU64::new(1),
@@ -265,28 +267,31 @@ impl ClusterFrontend {
         self.health.lock().now_s()
     }
 
-    /// A shard's current health.
+    /// A shard's current health, read from the gauge [`Self::advance`]
+    /// publishes. Health is a function of tracker state and virtual time,
+    /// and both change only inside `advance`, so the published value is
+    /// exactly what the tracker would answer — without its lock. (The
+    /// gauge is a relaxed atomic: it publishes no other data.)
     pub fn shard_health(&self, shard: ShardId) -> ShardHealth {
-        self.health.lock().health(shard)
+        ShardHealth::from_gauge(self.shard_health_gauges[shard].get())
     }
 
     /// Shards not declared dead.
     pub fn surviving_shards(&self) -> Vec<ShardId> {
-        self.health.lock().surviving_shards()
+        (0..self.shards.len())
+            .filter(|&s| self.shard_health(s) != ShardHealth::Dead)
+            .collect()
     }
 
     /// Advances the virtual clock, pumping heartbeats. Returns shards
     /// *newly* declared dead — the caller decides when to fail them over
     /// (see [`Self::fail_over_shard`]).
     pub fn advance(&self, dt_s: f64) -> Vec<ShardId> {
-        let newly_dead = {
-            let mut health = self.health.lock();
-            let newly_dead = health.advance(dt_s);
-            for (s, gauge) in self.shard_health_gauges.iter().enumerate() {
-                gauge.set(health.health(s).as_gauge());
-            }
-            newly_dead
-        };
+        let mut health = self.health.lock();
+        let newly_dead = health.advance(dt_s);
+        for (s, gauge) in self.shard_health_gauges.iter().enumerate() {
+            gauge.set(health.health(s).as_gauge());
+        }
         newly_dead
     }
 
@@ -333,13 +338,13 @@ impl ClusterFrontend {
     ) -> Result<RoomId> {
         let id = self.next_room.fetch_add(1, Ordering::Relaxed);
         let shard = {
-            let mut dir = self.directory.lock();
+            let mut dir = self.directory.write();
             let mut shard = dir.place_new(id);
-            if self.health.lock().health(shard) == ShardHealth::Dead {
+            if self.shard_health(shard) == ShardHealth::Dead {
                 // The ring still lists a dead-but-not-failed-over shard:
                 // place on the first survivor instead.
-                let survivors = self.health.lock().surviving_shards();
-                let fallback = *survivors
+                let fallback = *self
+                    .surviving_shards()
                     .first()
                     .ok_or_else(|| ServerError::Invalid("no live shards left".into()))?;
                 dir.complete_migration(id, fallback);
@@ -355,18 +360,19 @@ impl ClusterFrontend {
         })();
         match result {
             Ok(()) => {
-                self.rooms_gauge.set(self.directory.lock().len() as i64);
+                self.rooms_gauge.set(self.directory.read().len() as i64);
                 Ok(id)
             }
             Err(e) => {
-                self.directory.lock().remove_room(id);
+                self.directory.write().remove_room(id);
                 Err(e)
             }
         }
     }
 
     /// Taps a room on its shard and installs (or resets) its journal with
-    /// a fresh checkpoint. Control-plane: takes room locks, not ingress.
+    /// a fresh checkpoint. Control-plane: runs beside routed calls on the
+    /// same room-lock discipline they use.
     fn attach_journal(&self, room: RoomId, shard: ShardId) -> Result<()> {
         let server = &self.shards[shard].server;
         let (tx, rx) = unbounded();
@@ -443,9 +449,9 @@ impl ClusterFrontend {
     pub fn close_room(&self, room: RoomId) -> Result<()> {
         let shard = self.shard_of(room)?;
         self.shards[shard].server.close_room(room)?;
-        self.directory.lock().remove_room(room);
+        self.directory.write().remove_room(room);
         self.journals.lock().remove(&room);
-        self.rooms_gauge.set(self.directory.lock().len() as i64);
+        self.rooms_gauge.set(self.directory.read().len() as i64);
         Ok(())
     }
 
@@ -456,7 +462,7 @@ impl ClusterFrontend {
         for s in self.surviving_shards() {
             all.extend(self.shards[s].server.reap_empty_rooms());
         }
-        let mut dir = self.directory.lock();
+        let mut dir = self.directory.write();
         let mut journals = self.journals.lock();
         for &room in &all {
             dir.remove_room(room);
@@ -468,7 +474,7 @@ impl ClusterFrontend {
 
     /// The shard currently serving `room`, if it is placed and settled.
     fn shard_of(&self, room: RoomId) -> Result<ShardId> {
-        match self.directory.lock().lookup(room) {
+        match self.directory.read().lookup(room) {
             Some(Placement::OnShard(s)) => Ok(s),
             Some(Placement::Migrating) => Err(ServerError::Migrating(room)),
             None => Err(ServerError::UnknownRoom(room)),
@@ -492,7 +498,7 @@ impl ClusterFrontend {
         let mut last_transient: ServerError;
         loop {
             self.lookups.inc();
-            let placement = self.directory.lock().lookup(room);
+            let placement = self.directory.read().lookup(room);
             match placement {
                 None => return Err(ServerError::UnknownRoom(room)),
                 Some(Placement::Migrating) => {
@@ -500,22 +506,24 @@ impl ClusterFrontend {
                     last_transient = ServerError::Migrating(room);
                 }
                 Some(Placement::OnShard(shard)) => {
-                    let h = self.health.lock().health(shard);
-                    if h == ShardHealth::Alive {
+                    if self.shard_health(shard) == ShardHealth::Alive {
                         let s = &self.shards[shard];
-                        let queued = self.clock.now_us();
-                        let _ingress = s.ingress.lock();
-                        self.ingress_wait
-                            .record(self.clock.now_us().saturating_sub(queued));
-                        if self.config.ingress_service_us > 0 {
+                        // E18's service-time model only: the call queues
+                        // on, and holds, the shard's one-daemon mutex.
+                        let _ingress = (self.config.ingress_service_us > 0).then(|| {
+                            let queued = self.clock.now_us();
+                            let guard = s.ingress.lock();
+                            self.ingress_wait
+                                .record(self.clock.now_us().saturating_sub(queued));
                             self.clock.sleep_us(self.config.ingress_service_us);
-                        }
+                            guard
+                        });
                         match f(&s.server) {
                             // The room left this shard between lookup and
                             // call (migration raced us): transient.
                             Err(e @ ServerError::UnknownRoom(r))
                                 if r == room
-                                    && self.directory.lock().lookup(room)
+                                    && self.directory.read().lookup(room)
                                         != Some(Placement::OnShard(shard)) =>
                             {
                                 last_transient = e;
@@ -575,8 +583,7 @@ impl ClusterFrontend {
         user: &str,
         last_seen_seq: u64,
     ) -> Result<(ClientConnection, Resync)> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.resync(room, &user, last_seen_seq))
+        self.route(room, move |srv| srv.resync(room, user, last_seen_seq))
             .map_err(|e| Self::join_cause(room, e))
     }
 
@@ -592,8 +599,7 @@ impl ClusterFrontend {
 
     /// Leaves a room.
     pub fn leave(&self, room: RoomId, user: &str) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.leave(room, &user))
+        self.route(room, move |srv| srv.leave(room, user))
     }
 
     /// Performs an action in a room. A *global* document operation is a
@@ -603,8 +609,7 @@ impl ClusterFrontend {
     /// the derived variable in the replica instead.
     pub fn act(&self, room: RoomId, user: &str, action: Action) -> Result<()> {
         let barrier = matches!(&action, Action::ApplyOperation { global: true, .. });
-        let user = user.to_string();
-        self.route(room, move |srv| srv.act(room, &user, action.clone()))?;
+        self.route(room, move |srv| srv.act(room, user, action.clone()))?;
         if barrier {
             self.checkpoint_room(room)?;
         }
@@ -613,14 +618,12 @@ impl ClusterFrontend {
 
     /// The viewer's current presentation.
     pub fn presentation(&self, room: RoomId, user: &str) -> Result<Presentation> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.presentation(room, &user))
+        self.route(room, move |srv| srv.presentation(room, user))
     }
 
     /// Renders a viewer's presentation as text.
     pub fn render_presentation(&self, room: RoomId, user: &str) -> Result<String> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.render_presentation(room, &user))
+        self.route(room, move |srv| srv.render_presentation(room, user))
     }
 
     /// The document outline.
@@ -633,8 +636,7 @@ impl ClusterFrontend {
     /// come from the shared durable store, not the wire), so the replica
     /// learns of the object through a fresh checkpoint.
     pub fn open_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.open_image(room, &user, object_id))?;
+        self.route(room, move |srv| srv.open_image(room, user, object_id))?;
         self.checkpoint_room(room)
     }
 
@@ -652,9 +654,8 @@ impl ClusterFrontend {
     /// Checkpoint barrier, like [`Self::open_image`]: the close leaves no
     /// room event behind.
     pub fn save_and_close_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.save_and_close_image(room, &user, object_id)
+            srv.save_and_close_image(room, user, object_id)
         })?;
         self.checkpoint_room(room)
     }
@@ -669,8 +670,7 @@ impl ClusterFrontend {
         user: &str,
         object_id: u64,
     ) -> Result<crate::delivery::ImageDelivery> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.deliver_image(room, &user, object_id))
+        self.route(room, move |srv| srv.deliver_image(room, user, object_id))
     }
 
     /// Reports one client-observed transfer into the member's bandwidth
@@ -682,28 +682,24 @@ impl ClusterFrontend {
         bytes: u64,
         elapsed_s: f64,
     ) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.report_transfer(room, &user, bytes, elapsed_s)
+            srv.report_transfer(room, user, bytes, elapsed_s)
         })
     }
 
     /// The member's current bandwidth estimate in the room, if any.
     pub fn estimated_bandwidth(&self, room: RoomId, user: &str) -> Result<Option<f64>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.estimated_bandwidth(room, &user))
+        self.route(room, move |srv| srv.estimated_bandwidth(room, user))
     }
 
     /// Warms the room's object cache from the CP-net prefetch planner.
     pub fn warm_room_cache(&self, room: RoomId, user: &str) -> Result<usize> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.warm_room_cache(room, &user))
+        self.route(room, move |srv| srv.warm_room_cache(room, user))
     }
 
     /// Persists the room's document back to the database.
     pub fn save_document(&self, room: RoomId, user: &str) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.save_document(room, &user))
+        self.route(room, move |srv| srv.save_document(room, user))
     }
 
     /// Runs audio segmentation and shares the summary with the room.
@@ -713,8 +709,7 @@ impl ClusterFrontend {
         user: &str,
         audio_id: u64,
     ) -> Result<Vec<rcmo_audio::Segment>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.analyse_audio(room, &user, audio_id))
+        self.route(room, move |srv| srv.analyse_audio(room, user, audio_id))
     }
 
     /// Registers a dynamic event trigger.
@@ -724,16 +719,14 @@ impl ClusterFrontend {
         user: &str,
         condition: TriggerCondition,
     ) -> Result<u64> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.add_trigger(room, &user, condition.clone())
+            srv.add_trigger(room, user, condition.clone())
         })
     }
 
     /// Removes a trigger (owner only).
     pub fn remove_trigger(&self, room: RoomId, user: &str, trigger: u64) -> Result<()> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.remove_trigger(room, &user, trigger))
+        self.route(room, move |srv| srv.remove_trigger(room, user, trigger))
     }
 
     /// Members of a room.
@@ -761,9 +754,8 @@ impl ClusterFrontend {
     /// `user` must hold [`crate::role::Capability::ConfigureRoom`] in the
     /// room. Replaces the old per-knob setters.
     pub fn configure_room(&self, room: RoomId, user: &str, config: RoomConfig) -> Result<()> {
-        let user = user.to_string();
         self.route(room, move |srv| {
-            srv.configure_room(room, &user, config.clone())
+            srv.configure_room(room, user, config.clone())
         })
     }
 
@@ -774,24 +766,19 @@ impl ClusterFrontend {
 
     /// Removes `target` from the room on `by`'s authority.
     pub fn evict(&self, room: RoomId, by: &str, target: &str) -> Result<()> {
-        let by = by.to_string();
-        let target = target.to_string();
-        self.route(room, move |srv| srv.evict(room, &by, &target))
+        self.route(room, move |srv| srv.evict(room, by, target))
     }
 
     /// Hands the presenter seat from `from` to `to`.
     pub fn hand_off_presenter(&self, room: RoomId, from: &str, to: &str) -> Result<()> {
-        let from = from.to_string();
-        let to = to.to_string();
-        self.route(room, move |srv| srv.hand_off_presenter(room, &from, &to))
+        self.route(room, move |srv| srv.hand_off_presenter(room, from, to))
     }
 
     /// The member's current role in the room (live or reserved), if any.
     /// Roles ride the exported [`crate::room::RoomState`], so the answer
     /// is stable across migration and failover.
     pub fn role_of(&self, room: RoomId, user: &str) -> Result<Option<Role>> {
-        let user = user.to_string();
-        self.route(room, move |srv| srv.role_of(room, &user))
+        self.route(room, move |srv| srv.role_of(room, user))
     }
 
     /// Who holds the room's presenter seat, if anyone.
@@ -806,9 +793,7 @@ impl ClusterFrontend {
     pub fn broadcast_announcement(&self, user: &str, text: &str) -> Result<usize> {
         let mut reached = 0;
         for s in self.surviving_shards() {
-            let shard = &self.shards[s];
-            let _ingress = shard.ingress.lock();
-            reached += shard.server.broadcast_announcement(user, text)?;
+            reached += self.shards[s].server.broadcast_announcement(user, text)?;
         }
         Ok(reached)
     }
@@ -828,7 +813,7 @@ impl ClusterFrontend {
             )));
         }
         let source = {
-            let mut dir = self.directory.lock();
+            let mut dir = self.directory.write();
             match dir.lookup(room) {
                 Some(Placement::OnShard(s)) if s == target => return Ok(()),
                 Some(Placement::OnShard(s)) => {
@@ -860,7 +845,7 @@ impl ClusterFrontend {
         })();
         match result {
             Ok(()) => {
-                self.directory.lock().complete_migration(room, target);
+                self.directory.write().complete_migration(room, target);
                 self.migrations.inc();
                 self.migration_lat
                     .record(self.clock.now_us().saturating_sub(t0));
@@ -870,7 +855,7 @@ impl ClusterFrontend {
                 // Roll back what we can: thaw if the room is still on the
                 // source, and restore its directory entry.
                 let _ = self.shards[source].server.thaw_room(room);
-                self.directory.lock().complete_migration(room, source);
+                self.directory.write().complete_migration(room, source);
                 Err(e)
             }
         }
@@ -897,7 +882,7 @@ impl ClusterFrontend {
         // Dead shards stop contributing ring points; survivors inherit
         // its keyspace.
         let rooms = {
-            let mut dir = self.directory.lock();
+            let mut dir = self.directory.write();
             dir.remove_shard(dead);
             dir.rooms_on(dead)
         };
@@ -914,7 +899,7 @@ impl ClusterFrontend {
             };
             let (state, lossy) = rebuilt;
             let target = {
-                let mut dir = self.directory.lock();
+                let mut dir = self.directory.write();
                 let candidate = dir.place_failover(room);
                 // The ring only lists shards never declared dead, but a
                 // not-yet-failed-over dead shard may still own points.
@@ -959,14 +944,6 @@ impl ClusterFrontend {
     /// 0 alive, 1 suspect, 2 dead). Shard-internal room metrics live in
     /// each shard's own registry; see [`Self::shard_server`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        // Refresh health gauges so a metrics read never reports stale
-        // liveness (advance() also updates them on every tick).
-        {
-            let health = self.health.lock();
-            for (s, gauge) in self.shard_health_gauges.iter().enumerate() {
-                gauge.set(health.health(s).as_gauge());
-            }
-        }
         self.obs.snapshot()
     }
 }

@@ -39,6 +39,16 @@ impl ShardHealth {
             ShardHealth::Dead => 2,
         }
     }
+
+    /// Inverse of [`Self::as_gauge`]: the frontend's data plane reads
+    /// health back from the published gauge.
+    pub(super) fn from_gauge(v: i64) -> ShardHealth {
+        match v {
+            0 => ShardHealth::Alive,
+            1 => ShardHealth::Suspect,
+            _ => ShardHealth::Dead,
+        }
+    }
 }
 
 #[derive(Debug)]

@@ -614,19 +614,23 @@ fn suspect_shard_call_fails_after_retry_budget_then_recovers() {
     let room = cf.create_room("user-0", "r", doc_id).unwrap();
     cf.join_default(room, "user-0").unwrap();
 
-    cf.advance(6.5); // inside the outage: suspect
-    assert_eq!(cf.shard_health(0), ShardHealth::Suspect);
+    // Inside the outage: suspect. The very next routed call is refused —
+    // the data plane reads the health `advance` itself published, with
+    // nothing refreshing it first.
+    cf.advance(6.5);
     match cf.act(room, "user-0", Action::Chat { text: "x".into() }) {
         Err(ServerError::ShardUnavailable { shard: 0, room: r }) => assert_eq!(r, room),
         other => panic!("expected ShardUnavailable, got {other:?}"),
     }
+    assert_eq!(cf.shard_health(0), ShardHealth::Suspect);
+    assert_eq!(cf.metrics().gauges["cluster.shard.0.health"], 1);
     let retries_after_suspect = Metrics::metrics(&cf).route_retries;
     assert!(retries_after_suspect > 0);
 
     cf.advance(1.0); // beats resume: alive again, calls flow
-    assert_eq!(cf.shard_health(0), ShardHealth::Alive);
     cf.act(room, "user-0", Action::Chat { text: "y".into() })
         .unwrap();
+    assert_eq!(cf.shard_health(0), ShardHealth::Alive);
 }
 
 #[test]
@@ -744,4 +748,229 @@ fn journal_tail_is_bounded_by_compaction_and_failover_stays_lossless() {
     assert_eq!(cf.metrics().counters["cluster.failover.lossy.count"], 0);
     let (_conn, catch_up) = cf.resync(room, "user-0", last).unwrap();
     assert!(matches!(catch_up, Resync::Events(ref evs) if evs.is_empty()));
+}
+
+/// `n` rooms pinned to shard 0, each with `members` users joined (user
+/// `r * members + m` is room `r`'s member `m`) and the image open.
+fn rooms_on_shard_0(
+    cf: &ClusterFrontend,
+    doc_id: u64,
+    image_id: u64,
+    n: usize,
+    members: usize,
+) -> (Vec<u64>, Vec<Vec<ClientConnection>>) {
+    let mut rooms = Vec::new();
+    let mut conns = Vec::new();
+    for r in 0..n {
+        let owner = format!("user-{}", r * members);
+        let room = cf.create_room(&owner, &format!("r{r}"), doc_id).unwrap();
+        cf.migrate_room(room, 0).unwrap();
+        conns.push(
+            (0..members)
+                .map(|m| {
+                    cf.join_default(room, &format!("user-{}", r * members + m))
+                        .unwrap()
+                })
+                .collect(),
+        );
+        cf.open_image(room, &owner, image_id).unwrap();
+        rooms.push(room);
+    }
+    (rooms, conns)
+}
+
+fn chat(text: &str) -> Action {
+    Action::Chat { text: text.into() }
+}
+
+#[test]
+fn a_blocked_room_does_not_stall_its_shard_neighbours() {
+    let (cf, doc_id, image_id) = cluster(2, 2);
+    let (rooms, _conns) = rooms_on_shard_0(&cf, doc_id, image_id, 2, 1);
+    let (a, b) = (rooms[0], rooms[1]);
+    let shard = cf.shard_server(0);
+    let map_reads = || shard.obs().read_counter("server.rooms.map.read.count");
+
+    let handle = shard.room_handle(a).unwrap();
+    let held = handle.lock();
+    let entered = map_reads();
+    std::thread::scope(|scope| {
+        let (a_tx, a_rx) = std::sync::mpsc::channel();
+        let (b_tx, b_rx) = std::sync::mpsc::channel();
+        let cf = &cf;
+        scope.spawn(move || a_tx.send(cf.act(a, "user-0", chat("a"))).unwrap());
+        // A is inside the shard (it fetched A's handle, the step right
+        // before the room lock we hold) — at the parent commit it also
+        // holds the shard's ingress mutex by now.
+        while map_reads() == entered {
+            std::thread::yield_now();
+        }
+        scope.spawn(move || b_tx.send(cf.act(b, "user-1", chat("b"))).unwrap());
+        b_rx.recv_timeout(std::time::Duration::from_secs(2))
+            .expect("room B queued behind blocked room A on the same shard")
+            .unwrap();
+        assert!(a_rx.try_recv().is_err(), "A cannot finish while held");
+        drop(held);
+        a_rx.recv().unwrap().unwrap();
+    });
+}
+
+#[test]
+fn ingress_service_model_still_serialises_a_shard() {
+    let (db, doc_id, image_id) = fixture_db(2);
+    let mut cfg = test_config(1);
+    cfg.ingress_service_us = 2_000;
+    let cf = ClusterFrontend::new(db, cfg);
+    let (rooms, _conns) = rooms_on_shard_0(&cf, doc_id, image_id, 2, 1);
+    let start = std::time::Instant::now();
+    std::thread::scope(|scope| {
+        for (r, &room) in rooms.iter().enumerate() {
+            let cf = &cf;
+            scope.spawn(move || {
+                for _ in 0..10 {
+                    cf.act(room, &format!("user-{r}"), chat("x")).unwrap();
+                }
+            });
+        }
+    });
+    // Different rooms, so only the modelled one-daemon mutex can have
+    // kept the 20 × 2 ms service times from overlapping.
+    assert!(start.elapsed() >= std::time::Duration::from_millis(40));
+    let waits = cf.metrics().histograms["cluster.shard.ingress.wait.us"].count;
+    assert!(waits >= 20, "model on: every routed call records its wait");
+}
+
+/// The safety argument for the unlocked data plane, executable: routed
+/// calls on rooms of one shard race each other, live migrations of those
+/// rooms, and the housekeeping tick, with nothing shard-wide between them.
+#[test]
+fn stress_unlocked_data_plane_beside_migration_and_housekeeping() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const ROOMS: usize = 16;
+    const MEMBERS: usize = 3;
+    const ACTORS: usize = 4;
+    const ROUNDS: usize = 60;
+
+    let (db, doc_id, image_id) = fixture_db(ROOMS * MEMBERS);
+    let mut cfg = ClusterConfig::new(2);
+    cfg.journal_tail_cap = 32; // the tick really compacts
+    let cf = ClusterFrontend::new(db, cfg);
+    let (rooms, conns) = rooms_on_shard_0(&cf, doc_id, image_id, ROOMS, MEMBERS);
+    let ct = cf
+        .shard_server(0)
+        .room_handle(rooms[0])
+        .unwrap()
+        .lock()
+        .document()
+        .component_by_name("CT")
+        .unwrap();
+    // Streams start at different points of the join sequence; from here
+    // on every co-member must see the same events.
+    let mut cursor: Vec<u64> = Vec::new();
+    for (r, room_conns) in conns.iter().enumerate() {
+        for conn in room_conns {
+            conn.events.try_iter().for_each(drop);
+        }
+        cursor.push(cf.last_seq(rooms[r]).unwrap());
+    }
+
+    // Pacing, both ways, on progress counters instead of sleeps: the
+    // migrator hops once per 50 completed acts (so a racing act's retry
+    // budget is never outrun by back-to-back freezes), and an actor
+    // entering round 10·j waits until j hops and j ticks have happened
+    // (so a starved control thread cannot miss the whole run).
+    let (done, hops, ticks) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let (cf, rooms, done, hops, ticks, stop) = (&cf, &rooms, &done, &hops, &ticks, &stop);
+        let actors: Vec<_> = (0..ACTORS)
+            .map(|t| {
+                scope.spawn(move || {
+                    for i in 0..ROUNDS {
+                        let due = (i / 10) as u64;
+                        while hops.load(Ordering::Relaxed) < due
+                            || ticks.load(Ordering::Relaxed) < due
+                        {
+                            std::thread::yield_now();
+                        }
+                        for r in (t..ROOMS).step_by(ACTORS) {
+                            let user = format!("user-{}", r * MEMBERS + i % MEMBERS);
+                            let actions = match i % 4 {
+                                0 => vec![Action::Choose {
+                                    component: ct,
+                                    form: i / 4 % 2,
+                                }],
+                                1 => vec![chat(&format!("m{i}"))],
+                                2 => vec![Action::AddLine {
+                                    object: image_id,
+                                    element: LineElement {
+                                        x0: 0,
+                                        y0: 0,
+                                        x1: (i % 32) as i64,
+                                        y1: 31,
+                                        intensity: 200,
+                                    },
+                                }],
+                                _ => vec![
+                                    Action::Freeze { object: image_id },
+                                    Action::Release { object: image_id },
+                                ],
+                            };
+                            for action in actions {
+                                cf.act(rooms[r], &user, action).unwrap();
+                                done.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        // Migrator: rooms 0 and 1 (actors 0 and 1 drive them) bounce
+        // 0 → 1 → 0.
+        let migrator = scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let hop = hops.load(Ordering::Relaxed);
+                if done.load(Ordering::Relaxed) >= hop * 50 {
+                    let target = (hop / 2 + 1) % 2;
+                    cf.migrate_room(rooms[(hop % 2) as usize], target as usize)
+                        .unwrap();
+                    hops.store(hop + 1, Ordering::Relaxed);
+                }
+                std::thread::yield_now();
+            }
+        });
+        let ticker = scope.spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                assert!(cf.advance(0.5).is_empty());
+                cf.maintain_replicas().unwrap();
+                ticks.fetch_add(1, Ordering::Relaxed);
+                std::thread::yield_now();
+            }
+        });
+        for actor in actors {
+            actor.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        migrator.join().unwrap();
+        ticker.join().unwrap();
+    });
+    assert!(
+        hops.load(Ordering::Relaxed) >= 5,
+        "migrations raced the acts"
+    );
+
+    assert!(cf.metrics().counters["cluster.journal.compact.count"] > 0);
+    for (r, room_conns) in conns.iter().enumerate() {
+        let last = cf.last_seq(rooms[r]).unwrap();
+        for conn in room_conns {
+            let seqs: Vec<u64> = conn.events.try_iter().map(|e| e.seq).collect();
+            let dense = (cursor[r] + 1..=last).eq(seqs.iter().copied());
+            assert!(
+                dense,
+                "room {r}: stream not dense over ({}, {last}]",
+                cursor[r]
+            );
+        }
+        assert_eq!(cf.replication_status(rooms[r]).unwrap().0, last);
+    }
 }

@@ -15,9 +15,9 @@
 //!    its configured bound.
 //! 4. **Storage integrity** — every injected storage crash must reopen
 //!    with `check_integrity` green.
-//! 5. **No dead instrumentation** — histograms the scenario must have
-//!    exercised carry samples at the end of the run (E14's guard, applied
-//!    to the simulated hour).
+//! 5. **No dead instrumentation** — histograms and counters the scenario
+//!    must have exercised carry samples at the end of the run (E14's
+//!    guard, applied to the simulated hour).
 //! 6. **Persona coverage** — every registered actor kind executed at
 //!    least one step (a scenario with silently dead personas is not the
 //!    scenario it claims to be).
@@ -213,24 +213,28 @@ impl Oracle {
         self.room_max_seen.keys().copied().collect()
     }
 
-    /// The final sweep: persona coverage and no-dead-histogram checks.
-    /// `required_histograms` lists names (matched against the combined
-    /// snapshot) the scenario must have exercised.
-    pub fn final_check(&mut self, snapshot: &MetricsSnapshot, required_histograms: &[&str]) {
+    /// The final sweep: persona coverage and no-dead-instrument checks.
+    /// `required` lists histogram or counter names (matched against the
+    /// combined snapshot) the scenario must have exercised.
+    pub fn final_check(&mut self, snapshot: &MetricsSnapshot, required: &[&str]) {
         for (&kind, &count) in &self.actions {
             if count == 0 {
                 self.violations
                     .push(format!("dead persona: {kind} executed zero steps"));
             }
         }
-        for &name in required_histograms {
-            match snapshot.histograms.get(name) {
+        for &name in required {
+            let samples = match snapshot.histograms.get(name) {
+                Some(h) => Some(h.count),
+                None => snapshot.counters.get(name).copied(),
+            };
+            match samples {
                 None => self
                     .violations
-                    .push(format!("dead histogram: {name} missing from snapshot")),
-                Some(h) if h.count == 0 => self
+                    .push(format!("dead instrument: {name} missing from snapshot")),
+                Some(0) => self
                     .violations
-                    .push(format!("dead histogram: {name} recorded zero samples")),
+                    .push(format!("dead instrument: {name} recorded zero samples")),
                 Some(_) => {}
             }
         }

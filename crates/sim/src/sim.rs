@@ -371,8 +371,11 @@ impl Simulator {
             metrics_text.push_str(&format!("## shard {s}\n{}", snap.to_text()));
         }
 
+        // The frontend's guarded instrument is its lookup counter: the
+        // ingress-wait histogram only fills under E18's service-time model,
+        // which the simulator never sets.
         let mut required: Vec<&str> = vec![
-            "cluster.shard.ingress.wait.us",
+            "cluster.directory.lookup.count",
             "server.room.broadcast.us",
             "server.room.lock.wait.us",
             "server.room.lock.hold.us",
