@@ -852,7 +852,14 @@ fn e12_ablations() {
     println!("{:>14} {:>12}", "pool frames", "hit ratio");
     let rows = 2_000u64;
     for frames in [16usize, 64, 256, 2048] {
-        let raw = rcmo_storage::Database::in_memory_with_pool(frames).unwrap();
+        let raw = rcmo_storage::Database::open_with(
+            rcmo_storage::Source::Memory,
+            rcmo_storage::DbOptions {
+                cache_frames: frames,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let raw = &raw;
         {
             let mut tx = raw.begin().unwrap();
@@ -2698,6 +2705,7 @@ fn e19_fanout() {
 fn e20_storage_scale() {
     use rcmo::storage::{
         Column, ColumnType, Database, DbOptions, MemBackend, RowValue, Schema, SlowSyncBackend,
+        Source,
     };
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -2728,7 +2736,11 @@ fn e20_storage_scale() {
                 ..DbOptions::default()
             }
         };
-        let db = Database::open_with_backends_opts(Box::new(data), Box::new(wal), opts).unwrap();
+        let source = Source::Backends {
+            data: Box::new(data),
+            wal: Box::new(wal),
+        };
+        let db = Database::open_with(source, opts).unwrap();
         {
             let mut tx = db.begin().unwrap();
             tx.create_table(

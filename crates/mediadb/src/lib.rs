@@ -55,16 +55,9 @@ impl MediaDb {
         Self::with_database(Database::in_memory()?)
     }
 
-    /// Opens a file-backed multimedia database with explicit storage-engine
-    /// options (group-commit window, checkpoint policy, pool sizing).
-    pub fn open_with_options(
-        path: impl AsRef<std::path::Path>,
-        opts: rcmo_storage::DbOptions,
-    ) -> Result<MediaDb> {
-        Self::with_database(Database::open_with_options(path, opts)?)
-    }
-
     /// Wraps an existing storage database, installing the schema if absent.
+    /// This is the way in for explicit storage-engine options or backends:
+    /// open with [`Database::open_with`] and hand the result over.
     pub fn with_database(db: Database) -> Result<MediaDb> {
         let db = Arc::new(db);
         schema::install(&db)?;

@@ -15,7 +15,8 @@ use crate::persona::Actor;
 use crate::world::World;
 use rand::prelude::*;
 use rcmo_storage::{
-    Column, ColumnType, CrashSpec, Database, FaultInjector, MemBackend, RowValue, Schema, SimStore,
+    Backend, Column, ColumnType, CrashSpec, Database, DbOptions, FaultInjector, MemBackend,
+    RowValue, Schema, SimStore, Source, StorageError,
 };
 
 /// Minimum shards left alive; the killer never drops below it.
@@ -170,6 +171,24 @@ impl Actor for StorageCrasher {
 const FRAMES: usize = 64;
 const TABLE: &str = "t";
 
+/// Opens over explicit backends with a small cache, checkpointing eagerly on
+/// every commit so each durability site is crossed per transaction.
+fn open_eager(
+    data: impl Backend + 'static,
+    wal: impl Backend + 'static,
+) -> Result<Database, StorageError> {
+    Database::open_with(
+        Source::Backends {
+            data: Box::new(data),
+            wal: Box::new(wal),
+        },
+        DbOptions {
+            cache_frames: FRAMES,
+            ..DbOptions::eager()
+        },
+    )
+}
+
 fn drill_schema() -> Schema {
     Schema::new(vec![
         Column::new("ID", ColumnType::U64),
@@ -231,11 +250,7 @@ fn crash_drill(seed: u64, torn: bool, drop_unsynced: bool, rng: &mut StdRng) -> 
     let wal = SimStore::new();
     let inj = FaultInjector::new(CrashSpec::count_only(seed));
     let total = {
-        let db = match Database::open_with_backends(
-            Box::new(data.backend(&inj)),
-            Box::new(wal.backend(&inj)),
-            FRAMES,
-        ) {
+        let db = match open_eager(data.backend(&inj), wal.backend(&inj)) {
             Ok(db) => db,
             Err(_) => return (0, 0, false),
         };
@@ -260,11 +275,7 @@ fn crash_drill(seed: u64, torn: bool, drop_unsynced: bool, rng: &mut StdRng) -> 
         drop_unsynced,
         io_error_prob: 0.0,
     });
-    match Database::open_with_backends(
-        Box::new(data.backend(&inj)),
-        Box::new(wal.backend(&inj)),
-        FRAMES,
-    ) {
+    match open_eager(data.backend(&inj), wal.backend(&inj)) {
         // Crash during bootstrap: nothing was committed; still verify the
         // salvage reopen below.
         Err(_) => {}
@@ -279,10 +290,9 @@ fn crash_drill(seed: u64, torn: bool, drop_unsynced: bool, rng: &mut StdRng) -> 
     }
 
     // Reopen only what survived, with no further faults.
-    let ok = match Database::open_with_backends(
-        Box::new(MemBackend::from_bytes(data.surviving_bytes())),
-        Box::new(MemBackend::from_bytes(wal.surviving_bytes())),
-        FRAMES,
+    let ok = match open_eager(
+        MemBackend::from_bytes(data.surviving_bytes()),
+        MemBackend::from_bytes(wal.surviving_bytes()),
     ) {
         Err(_) => false,
         Ok(db) => db.check_integrity().is_ok(),

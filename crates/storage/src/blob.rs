@@ -156,7 +156,7 @@ mod tests {
         let mut meta = Page::new(PageKind::Meta);
         meta.put_u64(META_FREE_HEAD, PageId::NONE.0);
         disk.write_page(PageId::META, &mut meta).unwrap();
-        BufferPool::for_tests(disk, 256)
+        BufferPool::for_tests(disk)
     }
 
     fn pattern(n: usize) -> Vec<u8> {

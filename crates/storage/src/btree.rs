@@ -422,6 +422,24 @@ impl BTree {
     pub fn is_empty<P: PageRead>(&self, pool: &mut P) -> Result<bool> {
         Ok(self.len(pool)? == 0)
     }
+
+    /// Frees every page of the tree (drop table).
+    pub fn destroy(self, pool: &mut BufferPool) -> Result<()> {
+        let children: Vec<PageId> = pool.with_page(self.root, |p| {
+            if p.kind() != PageKind::BTreeInternal {
+                return Vec::new();
+            }
+            let nkeys = p.get_u16(OFF_NKEYS) as usize;
+            std::iter::once(OFF_CHILD0)
+                .chain((0..nkeys).map(|i| INTERNAL_ENTRIES + i * 16 + 8))
+                .map(|off| PageId(p.get_u64(off)))
+                .collect()
+        })?;
+        for child in children {
+            BTree::open(child).destroy(pool)?;
+        }
+        pool.free_page(self.root)
+    }
 }
 
 #[cfg(test)]
@@ -436,7 +454,7 @@ mod tests {
         let mut meta = Page::new(PageKind::Meta);
         meta.put_u64(META_FREE_HEAD, PageId::NONE.0);
         disk.write_page(PageId::META, &mut meta).unwrap();
-        BufferPool::for_tests(disk, 256)
+        BufferPool::for_tests(disk)
     }
 
     #[test]

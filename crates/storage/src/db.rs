@@ -30,6 +30,16 @@
 //! assert_eq!(row[1], RowValue::Text("ct".into()));
 //! ```
 //!
+//! # One way to open, one way to read
+//!
+//! [`Database::open_with`] takes a [`Source`] (a path, memory, or explicit
+//! byte backends) and [`DbOptions`]; [`Database::open`] and
+//! [`Database::in_memory`] are that call with default options. Every row
+//! and BLOB read of [`Transaction`] and [`ReadTransaction`] is one
+//! definition (`Reads`) over a page source and a catalog map, and every
+//! page request of either kind is counted in the database's one paging
+//! registry ([`Database::pool_stats`]).
+//!
 //! # Commit pipeline
 //!
 //! A [`Transaction`] holds the database's writer mutex, making the
@@ -54,14 +64,15 @@
 //! [`DbOptions::eager_checkpoint`] is set, which restores the historical
 //! checkpoint-per-commit behaviour for crash-injection harnesses.
 
+use crate::backend::Backend;
 use crate::blob::{BlobId, BlobStore};
 use crate::btree::BTree;
 use crate::catalog::{decode_row, encode_row, CatalogEntry, RowValue as RV, Schema, TableInfo};
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
-use crate::heap::Heap;
+use crate::heap::{Heap, RecordId};
 use crate::page::{Page, PageId, PageKind};
-use crate::pager::{BufferPool, PoolStats, ReadLayer};
+use crate::pager::{BufferPool, PageRead, PoolStats, ReadLayer};
 use crate::snapshot::{CommittedState, SnapshotReader, SnapshotRegistry};
 use crate::wal::Wal;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -78,17 +89,33 @@ pub(crate) const META_CATALOG_ROOT: usize = 16;
 pub(crate) const META_NEXT_TXN: usize = 24;
 pub(crate) const META_MAGIC: u64 = 0x5243_4D4F_4442_3101; // "RCMODB1" + version 1
 
-/// Default buffer-pool capacity in frames (2048 × 8 KiB = 16 MiB).
-pub const DEFAULT_POOL_FRAMES: usize = 2048;
+/// Default page-cache capacity in frames (2048 × 8 KiB = 16 MiB).
+pub const DEFAULT_CACHE_FRAMES: usize = 2048;
+
+/// Where a [`Database`] keeps its bytes.
+pub enum Source {
+    /// A data file at this path (created if missing), with the WAL next to
+    /// it at `<path>.wal`.
+    Path(PathBuf),
+    /// Ephemeral in-process storage: no durability across drop, but the
+    /// full WAL/commit machinery still runs.
+    Memory,
+    /// Explicit byte-level [`Backend`]s for the data file and the WAL
+    /// (crash-injection harnesses hand in
+    /// [`FaultyBackend`](crate::backend::FaultyBackend)s or survivor-image
+    /// [`MemBackend`](crate::backend::MemBackend)s here).
+    Backends {
+        /// The data file.
+        data: Box<dyn Backend>,
+        /// The write-ahead log.
+        wal: Box<dyn Backend>,
+    },
+}
 
 /// Tunables for opening a [`Database`].
 #[derive(Debug, Clone)]
 pub struct DbOptions {
-    /// Soft capacity of the writer's page buffer, in frames.
-    pub pool_frames: usize,
-    /// Number of lock stripes in the shared page cache.
-    pub cache_shards: usize,
-    /// Total frames across all cache shards.
+    /// Capacity of the shared page cache, in frames.
     pub cache_frames: usize,
     /// How long a group-commit leader waits for followers to pile onto the
     /// batch before issuing the shared WAL fsync. Zero syncs immediately.
@@ -106,9 +133,7 @@ pub struct DbOptions {
 impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
-            pool_frames: DEFAULT_POOL_FRAMES,
-            cache_shards: 8,
-            cache_frames: DEFAULT_POOL_FRAMES,
+            cache_frames: DEFAULT_CACHE_FRAMES,
             group_commit_window: Duration::ZERO,
             checkpoint_wal_bytes: 8 * 1024 * 1024,
             checkpoint_commits: 4,
@@ -246,10 +271,10 @@ struct Shared {
     opts: DbOptions,
 }
 
-pub(crate) struct Inner {
-    pub(crate) pool: BufferPool,
-    pub(crate) catalog: HashMap<String, CatalogEntry>,
-    pub(crate) next_txn: u64,
+struct Inner {
+    pool: BufferPool,
+    catalog: HashMap<String, CatalogEntry>,
+    next_txn: u64,
     commits_since_ckpt: u64,
     /// The WAL holds records that must be folded out (a crash-simulation
     /// hook staged a transaction, or a previous commit failed partway):
@@ -261,7 +286,7 @@ pub(crate) struct Inner {
 /// An embedded database instance. Cloneable handles are not provided; share
 /// via `Arc<Database>`.
 pub struct Database {
-    pub(crate) writer: Mutex<Inner>,
+    writer: Mutex<Inner>,
     shared: Shared,
     path: Option<PathBuf>,
 }
@@ -273,106 +298,44 @@ impl std::fmt::Debug for Database {
 }
 
 impl Database {
-    /// Opens (creating if necessary) a file-backed database at `path`; the
-    /// WAL lives next to it at `<path>.wal`. Runs crash recovery first.
+    /// Opens (creating if necessary) a file-backed database at `path` with
+    /// default [`DbOptions`]; the WAL lives next to it at `<path>.wal`.
+    pub fn open(path: impl AsRef<Path>) -> Result<Database> {
+        Self::open_with(
+            Source::Path(path.as_ref().to_path_buf()),
+            DbOptions::default(),
+        )
+    }
+
+    /// Creates an ephemeral in-memory database with default [`DbOptions`].
+    pub fn in_memory() -> Result<Database> {
+        Self::open_with(Source::Memory, DbOptions::default())
+    }
+
+    /// Opens a database over `source` with explicit [`DbOptions`], running
+    /// crash recovery first.
     ///
     /// Opening is salvage-tolerant: a torn trailing partial page in the
-    /// data file is truncated away, and a WAL whose header is unreadable is
-    /// quarantined aside (renamed to `<path>.wal.corrupt-<k>`) rather than
-    /// refusing to start. WAL replay itself already stops at the first torn
-    /// or corrupt record, salvaging the longest valid committed prefix.
-    pub fn open(path: impl AsRef<Path>) -> Result<Database> {
-        Self::open_with_options(path, DbOptions::default())
-    }
-
-    /// Opens a file-backed database with explicit [`DbOptions`].
-    pub fn open_with_options(path: impl AsRef<Path>, opts: DbOptions) -> Result<Database> {
-        let path = path.as_ref().to_path_buf();
-        let wal_path = wal_path_for(&path);
-        let mut disk = DiskManager::open(&path)?;
-        let (mut wal, _quarantined) = Wal::open_or_quarantine(&wal_path)?;
+    /// data file is truncated away, and a WAL file whose header is
+    /// unreadable is quarantined aside (renamed to
+    /// `<path>.wal.corrupt-<k>`) rather than refusing to start. WAL replay
+    /// itself already stops at the first torn or corrupt record, salvaging
+    /// the longest valid committed prefix.
+    pub fn open_with(source: Source, opts: DbOptions) -> Result<Database> {
+        let (mut disk, mut wal, path) = match source {
+            Source::Path(path) => {
+                let disk = DiskManager::open(&path)?;
+                let (wal, _quarantined) = Wal::open_or_quarantine(&wal_path_for(&path))?;
+                (disk, wal, Some(path))
+            }
+            Source::Memory => (DiskManager::in_memory(), Wal::in_memory(), None),
+            Source::Backends { data, wal } => (
+                DiskManager::from_backend(data)?,
+                Wal::from_backend(wal)?,
+                None,
+            ),
+        };
         recover(&mut disk, &mut wal)?;
-        Self::finish_open(disk, wal, Some(path), opts)
-    }
-
-    /// File-backed database with an explicit buffer-pool capacity (both the
-    /// writer's pool and the shared read cache get `frames` frames).
-    pub fn open_with_pool(path: impl AsRef<Path>, frames: usize) -> Result<Database> {
-        Self::open_with_options(
-            path,
-            DbOptions {
-                pool_frames: frames,
-                cache_frames: frames,
-                ..DbOptions::default()
-            },
-        )
-    }
-
-    /// Creates an ephemeral in-memory database (no durability across drop,
-    /// but the full WAL/commit machinery still runs in-process).
-    pub fn in_memory() -> Result<Database> {
-        Self::in_memory_with_options(DbOptions::default())
-    }
-
-    /// In-memory database with an explicit buffer-pool capacity in frames
-    /// (for cache-pressure experiments): both the writer's pool and the
-    /// shared read cache are capped at `frames`.
-    pub fn in_memory_with_pool(frames: usize) -> Result<Database> {
-        Self::in_memory_with_options(DbOptions {
-            pool_frames: frames,
-            cache_frames: frames,
-            ..DbOptions::default()
-        })
-    }
-
-    /// In-memory database with explicit [`DbOptions`].
-    pub fn in_memory_with_options(opts: DbOptions) -> Result<Database> {
-        Self::finish_open(DiskManager::in_memory(), Wal::in_memory(), None, opts)
-    }
-
-    /// Opens a database over explicit byte-level [`Backend`]s for the data
-    /// file and the WAL (crash-injection harnesses hand in
-    /// [`FaultyBackend`](crate::backend::FaultyBackend)s or survivor-image
-    /// [`MemBackend`](crate::backend::MemBackend)s here). Applies the same
-    /// salvage and recovery as a file-backed open, and checkpoints eagerly
-    /// on every commit so each durability site is crossed per transaction.
-    ///
-    /// [`Backend`]: crate::backend::Backend
-    pub fn open_with_backends(
-        data: Box<dyn crate::backend::Backend>,
-        wal: Box<dyn crate::backend::Backend>,
-        frames: usize,
-    ) -> Result<Database> {
-        Self::open_with_backends_opts(
-            data,
-            wal,
-            DbOptions {
-                pool_frames: frames,
-                cache_frames: frames,
-                ..DbOptions::eager()
-            },
-        )
-    }
-
-    /// [`open_with_backends`](Self::open_with_backends) with explicit
-    /// [`DbOptions`].
-    pub fn open_with_backends_opts(
-        data: Box<dyn crate::backend::Backend>,
-        wal: Box<dyn crate::backend::Backend>,
-        opts: DbOptions,
-    ) -> Result<Database> {
-        let mut disk = DiskManager::from_backend(data)?;
-        let mut wal = Wal::from_backend(wal)?;
-        recover(&mut disk, &mut wal)?;
-        Self::finish_open(disk, wal, None, opts)
-    }
-
-    fn finish_open(
-        mut disk: DiskManager,
-        wal: Wal,
-        path: Option<PathBuf>,
-        opts: DbOptions,
-    ) -> Result<Database> {
         if disk.num_pages() == 0 {
             let mut meta = Page::new(PageKind::Meta);
             meta.put_u64(META_MAGIC_OFF, META_MAGIC);
@@ -383,9 +346,9 @@ impl Database {
             disk.sync()?;
         }
         let num_pages = disk.num_pages();
-        let layer = Arc::new(ReadLayer::new(disk, opts.cache_shards, opts.cache_frames));
+        let layer = Arc::new(ReadLayer::new(disk, opts.cache_frames));
         let base = Arc::new(CommittedState::bootstrap(num_pages));
-        let pool = BufferPool::new(Arc::clone(&layer), Arc::clone(&base), opts.pool_frames);
+        let pool = BufferPool::new(Arc::clone(&layer), Arc::clone(&base));
         let db = Database {
             writer: Mutex::new(Inner {
                 pool,
@@ -417,9 +380,7 @@ impl Database {
             inner.next_txn = inner
                 .pool
                 .with_page(PageId::META, |p| p.get_u64(META_NEXT_TXN))?;
-            inner
-                .pool
-                .with_page(PageId::META, |p| PageId(p.get_u64(META_CATALOG_ROOT)))?
+            catalog_root(&mut inner)?
         };
         // Bootstrap the catalog heap on a fresh database.
         if !catalog_root.is_some() {
@@ -446,30 +407,25 @@ impl Database {
     /// Concurrent [`begin_read`](Self::begin_read) readers never block this.
     pub fn begin(&self) -> Result<Transaction<'_>> {
         self.shared.gc.check_poisoned()?;
-        let mut inner = self.writer.lock();
-        let txn_id = inner.next_txn;
-        inner.next_txn += 1;
-        Ok(Transaction {
-            db: self,
-            inner,
-            txn_id,
-            done: false,
-        })
+        Ok(self.start(self.writer.lock()))
     }
 
     /// Non-blocking [`begin`](Self::begin): returns `None` when another
     /// write transaction is currently open (or the database is poisoned).
     pub fn try_begin(&self) -> Option<Transaction<'_>> {
         self.shared.gc.check_poisoned().ok()?;
-        let mut inner = self.writer.try_lock()?;
+        Some(self.start(self.writer.try_lock()?))
+    }
+
+    fn start<'db>(&'db self, mut inner: MutexGuard<'db, Inner>) -> Transaction<'db> {
         let txn_id = inner.next_txn;
         inner.next_txn += 1;
-        Some(Transaction {
+        Transaction {
             db: self,
             inner,
             txn_id,
             done: false,
-        })
+        }
     }
 
     /// Begins a read-only snapshot transaction: it observes the most
@@ -479,11 +435,17 @@ impl Database {
     /// promptly.
     pub fn begin_read(&self) -> Result<ReadTransaction<'_>> {
         self.shared.gc.check_poisoned()?;
+        Ok(self.snapshot())
+    }
+
+    /// [`begin_read`](Self::begin_read) without the poison check: the
+    /// integrity walk reports on whatever is published.
+    pub(crate) fn snapshot(&self) -> ReadTransaction<'_> {
         let snap = self
             .shared
             .snapshots
             .register_current(&self.shared.committed);
-        Ok(ReadTransaction { db: self, snap })
+        ReadTransaction { db: self, snap }
     }
 
     /// Folds all committed pages into the data file and truncates the WAL.
@@ -494,11 +456,10 @@ impl Database {
         self.checkpoint_locked(&mut inner, CkptSync::Clean)
     }
 
-    /// Buffer-pool statistics, merged across the writer's pool and the
-    /// shared read cache.
+    /// Paging statistics: every page request of the writer and of all
+    /// snapshot readers. Takes no lock a transaction can hold.
     pub fn pool_stats(&self) -> PoolStats {
-        let pool = self.writer.lock().pool.stats();
-        pool.merged(self.shared.layer.stats())
+        PoolStats::from_registry(&self.shared.layer.obs)
     }
 
     /// The data-file path (`None` for in-memory databases).
@@ -635,9 +596,7 @@ fn recover(disk: &mut DiskManager, wal: &mut Wal) -> Result<()> {
 
 fn reload_catalog(inner: &mut Inner) -> Result<()> {
     inner.catalog.clear();
-    let root = inner
-        .pool
-        .with_page(PageId::META, |p| PageId(p.get_u64(META_CATALOG_ROOT)))?;
+    let root = catalog_root(inner)?;
     if !root.is_some() {
         return Ok(());
     }
@@ -674,6 +633,72 @@ fn checkpoint_after_commit(e: StorageError) -> StorageError {
     }
 }
 
+fn entry<'a>(catalog: &'a HashMap<String, CatalogEntry>, table: &str) -> Result<&'a CatalogEntry> {
+    catalog
+        .get(table)
+        .ok_or_else(|| StorageError::Catalog(format!("unknown table '{table}'")))
+}
+
+fn table_names(catalog: &HashMap<String, CatalogEntry>) -> Vec<String> {
+    let mut names: Vec<String> = catalog.keys().cloned().collect();
+    names.sort();
+    names
+}
+
+fn schema(catalog: &HashMap<String, CatalogEntry>, table: &str) -> Result<Schema> {
+    Ok(entry(catalog, table)?.info.schema.clone())
+}
+
+/// Every row and BLOB read, defined once over a page source and the
+/// catalog that goes with it: the writer's pool with its uncommitted
+/// catalog, or a committed snapshot with its frozen one.
+pub(crate) struct Reads<'a, P> {
+    pub(crate) pages: P,
+    pub(crate) catalog: &'a HashMap<String, CatalogEntry>,
+}
+
+impl<P: PageRead> Reads<'_, P> {
+    /// Reads and decodes the row of `info` stored at packed record id
+    /// `packed`.
+    pub(crate) fn row(&mut self, info: &TableInfo, packed: u64) -> Result<Vec<RV>> {
+        let bytes = Heap::open(info.heap_root).get(&mut self.pages, RecordId::unpack(packed))?;
+        decode_row(&info.schema, &bytes)
+    }
+
+    fn get(&mut self, table: &str, id: u64) -> Result<Option<Vec<RV>>> {
+        let info = &entry(self.catalog, table)?.info;
+        match BTree::open(info.index_root).get(&mut self.pages, id)? {
+            Some(packed) => self.row(info, packed).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    fn range(&mut self, table: &str, lo: u64, hi: u64) -> Result<Vec<Vec<RV>>> {
+        let info = &entry(self.catalog, table)?.info;
+        let pairs = BTree::open(info.index_root).range(&mut self.pages, lo, hi)?;
+        pairs
+            .into_iter()
+            .map(|(_, packed)| self.row(info, packed))
+            .collect()
+    }
+
+    fn count(&mut self, table: &str) -> Result<usize> {
+        BTree::open(entry(self.catalog, table)?.info.index_root).len(&mut self.pages)
+    }
+
+    fn get_blob(&mut self, id: BlobId) -> Result<Vec<u8>> {
+        BlobStore::read(&mut self.pages, id)
+    }
+
+    fn get_blob_prefix(&mut self, id: BlobId, n: usize) -> Result<Vec<u8>> {
+        BlobStore::read_prefix(&mut self.pages, id, n)
+    }
+
+    fn blob_len(&mut self, id: BlobId) -> Result<u64> {
+        BlobStore::len(&mut self.pages, id)
+    }
+}
+
 /// A read-write transaction. All table, index, and BLOB mutations live
 /// here. Commit or drop (rollback) to release the writer.
 pub struct Transaction<'db> {
@@ -689,12 +714,18 @@ impl<'db> Transaction<'db> {
         self.txn_id
     }
 
+    /// The shared read definitions over the write set and the
+    /// transaction's own (possibly uncommitted) catalog: read-your-writes.
+    fn reads(&mut self) -> Reads<'_, &mut BufferPool> {
+        let inner = &mut *self.inner;
+        Reads {
+            pages: &mut inner.pool,
+            catalog: &inner.catalog,
+        }
+    }
+
     fn entry(&self, table: &str) -> Result<CatalogEntry> {
-        self.inner
-            .catalog
-            .get(table)
-            .cloned()
-            .ok_or_else(|| StorageError::Catalog(format!("unknown table '{table}'")))
+        entry(&self.inner.catalog, table).cloned()
     }
 
     fn save_entry(&mut self, entry: &CatalogEntry) -> Result<()> {
@@ -741,7 +772,7 @@ impl<'db> Transaction<'db> {
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let entry = self.entry(name)?;
         Heap::open(entry.info.heap_root).destroy(&mut self.inner.pool)?;
-        free_btree(&mut self.inner.pool, entry.info.index_root)?;
+        BTree::open(entry.info.index_root).destroy(&mut self.inner.pool)?;
         let cat_heap = Heap::open(catalog_root(&mut self.inner)?);
         cat_heap.delete(&mut self.inner.pool, entry.record)?;
         self.inner.catalog.remove(name);
@@ -750,14 +781,12 @@ impl<'db> Transaction<'db> {
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.catalog.keys().cloned().collect();
-        names.sort();
-        names
+        table_names(&self.inner.catalog)
     }
 
     /// A table's schema.
     pub fn schema(&self, table: &str) -> Result<Schema> {
-        Ok(self.entry(table)?.info.schema)
+        schema(&self.inner.catalog, table)
     }
 
     /// Inserts a row. The primary key (column 0) may be
@@ -801,14 +830,7 @@ impl<'db> Transaction<'db> {
 
     /// Fetches a row by primary key.
     pub fn get(&mut self, table: &str, id: u64) -> Result<Option<Vec<RV>>> {
-        let entry = self.entry(table)?;
-        let index = BTree::open(entry.info.index_root);
-        let Some(packed) = index.get(&mut self.inner.pool, id)? else {
-            return Ok(None);
-        };
-        let heap = Heap::open(entry.info.heap_root);
-        let bytes = heap.get(&mut self.inner.pool, crate::heap::RecordId::unpack(packed))?;
-        Ok(Some(decode_row(&entry.info.schema, &bytes)?))
+        self.reads().get(table, id)
     }
 
     /// Replaces the row with primary key `id`. The new row's key column must
@@ -831,7 +853,7 @@ impl<'db> Transaction<'db> {
             .get(&mut self.inner.pool, id)?
             .ok_or(StorageError::KeyNotFound(id))?;
         let mut heap = Heap::open(entry.info.heap_root);
-        let old_rid = crate::heap::RecordId::unpack(packed);
+        let old_rid = RecordId::unpack(packed);
         let new_rid = heap.update(&mut self.inner.pool, old_rid, &bytes)?;
         if new_rid != old_rid {
             index.put(&mut self.inner.pool, id, new_rid.pack())?;
@@ -847,7 +869,7 @@ impl<'db> Transaction<'db> {
         let mut index = BTree::open(entry.info.index_root);
         let packed = index.delete(&mut self.inner.pool, id)?;
         let heap = Heap::open(entry.info.heap_root);
-        let rid = crate::heap::RecordId::unpack(packed);
+        let rid = RecordId::unpack(packed);
         let bytes = heap.get(&mut self.inner.pool, rid)?;
         heap.delete(&mut self.inner.pool, rid)?;
         decode_row(&entry.info.schema, &bytes)
@@ -860,22 +882,12 @@ impl<'db> Transaction<'db> {
 
     /// Rows with `lo <= id <= hi`, in key order.
     pub fn range(&mut self, table: &str, lo: u64, hi: u64) -> Result<Vec<Vec<RV>>> {
-        let entry = self.entry(table)?;
-        let index = BTree::open(entry.info.index_root);
-        let heap = Heap::open(entry.info.heap_root);
-        let pairs = index.range(&mut self.inner.pool, lo, hi)?;
-        let mut rows = Vec::with_capacity(pairs.len());
-        for (_, packed) in pairs {
-            let bytes = heap.get(&mut self.inner.pool, crate::heap::RecordId::unpack(packed))?;
-            rows.push(decode_row(&entry.info.schema, &bytes)?);
-        }
-        Ok(rows)
+        self.reads().range(table, lo, hi)
     }
 
     /// Number of rows in a table.
     pub fn count(&mut self, table: &str) -> Result<usize> {
-        let entry = self.entry(table)?;
-        BTree::open(entry.info.index_root).len(&mut self.inner.pool)
+        self.reads().count(table)
     }
 
     /// Stores a BLOB, returning its id.
@@ -885,17 +897,17 @@ impl<'db> Transaction<'db> {
 
     /// Reads a whole BLOB.
     pub fn get_blob(&mut self, id: BlobId) -> Result<Vec<u8>> {
-        BlobStore::read(&mut self.inner.pool, id)
+        self.reads().get_blob(id)
     }
 
     /// Reads the first `n` bytes of a BLOB (progressive transfer).
     pub fn get_blob_prefix(&mut self, id: BlobId, n: usize) -> Result<Vec<u8>> {
-        BlobStore::read_prefix(&mut self.inner.pool, id, n)
+        self.reads().get_blob_prefix(id, n)
     }
 
     /// A BLOB's length.
     pub fn blob_len(&mut self, id: BlobId) -> Result<u64> {
-        BlobStore::len(&mut self.inner.pool, id)
+        self.reads().blob_len(id)
     }
 
     /// Frees a BLOB.
@@ -903,18 +915,25 @@ impl<'db> Transaction<'db> {
         BlobStore::delete(&mut self.inner.pool, id)
     }
 
-    /// Appends the write set's sealed images plus the commit record to the
-    /// WAL (syncing eagerly in eager-checkpoint mode) and returns the log's
-    /// byte length.
-    fn append_to_wal(&mut self, dirty: &[PageId]) -> Result<u64> {
-        let db = self.db;
-        let mut wal = db.shared.wal.lock();
-        for &id in dirty {
+    /// Stamps the txn counter into the meta page, appends the write set's
+    /// sealed images plus the commit record to the WAL (syncing it under
+    /// the same log lock if `sync`), and returns the log's byte length.
+    fn append_to_wal(&mut self, sync: bool) -> Result<u64> {
+        // Persisting the counter keeps ids monotone across restarts. It
+        // also keeps the write set non-empty, so every commit appends
+        // records and commit ids in the log are strictly monotone.
+        let next_txn = self.inner.next_txn;
+        self.inner
+            .pool
+            .with_page_mut(PageId::META, |p| p.put_u64(META_NEXT_TXN, next_txn))?;
+        let dirty = self.inner.pool.dirty_ids();
+        let mut wal = self.db.shared.wal.lock();
+        for id in dirty {
             let image = self.inner.pool.sealed_image(id)?;
             wal.log_page(self.txn_id, id, &image)?;
         }
         wal.log_commit(self.txn_id)?;
-        if db.shared.opts.eager_checkpoint {
+        if sync {
             wal.sync()?;
         }
         wal.len()
@@ -959,15 +978,7 @@ impl<'db> Transaction<'db> {
             db.checkpoint_locked(&mut self.inner, CkptSync::Clean)?;
         }
 
-        // Persist the txn counter so ids stay monotone across restarts.
-        // This also keeps the write set non-empty, so every commit appends
-        // records and commit ids in the log are strictly monotone.
-        let next_txn = self.inner.next_txn;
-        self.inner
-            .pool
-            .with_page_mut(PageId::META, |p| p.put_u64(META_NEXT_TXN, next_txn))?;
-        let dirty = self.inner.pool.dirty_ids();
-        let wal_len = match self.append_to_wal(&dirty) {
+        let wal_len = match self.append_to_wal(db.shared.opts.eager_checkpoint) {
             Ok(len) => len,
             Err(e) => {
                 self.inner.force_checkpoint = true;
@@ -1023,20 +1034,7 @@ impl<'db> Transaction<'db> {
     /// committing again in-process instead folds it away first (the crash
     /// "didn't happen").
     pub fn simulate_crash_after_wal(mut self) -> Result<()> {
-        let next_txn = self.inner.next_txn;
-        self.inner
-            .pool
-            .with_page_mut(PageId::META, |p| p.put_u64(META_NEXT_TXN, next_txn))?;
-        let dirty = self.inner.pool.dirty_ids();
-        {
-            let mut wal = self.db.shared.wal.lock();
-            for &id in &dirty {
-                let image = self.inner.pool.sealed_image(id)?;
-                wal.log_page(self.txn_id, id, &image)?;
-            }
-            wal.log_commit(self.txn_id)?;
-            wal.sync()?;
-        }
+        self.append_to_wal(true)?;
         // Crash: lose the in-flight state, keep the (stale) data file and
         // the WAL. The staged records must be folded out before any later
         // commit appends.
@@ -1077,40 +1075,30 @@ impl<'db> ReadTransaction<'db> {
         self.snap.csn
     }
 
-    fn entry(&self, table: &str) -> Result<CatalogEntry> {
-        self.snap
-            .catalog
-            .get(table)
-            .cloned()
-            .ok_or_else(|| StorageError::Catalog(format!("unknown table '{table}'")))
-    }
-
-    fn reader(&self) -> SnapshotReader<'_> {
-        SnapshotReader::new(&self.snap, &self.db.shared.layer)
+    /// The shared read definitions over this snapshot's pages and catalog.
+    pub(crate) fn reads(&self) -> Reads<'_, SnapshotReader<'_>> {
+        Reads {
+            pages: SnapshotReader {
+                snap: &self.snap,
+                layer: &self.db.shared.layer,
+            },
+            catalog: &self.snap.catalog,
+        }
     }
 
     /// Names of all tables in the snapshot, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.snap.catalog.keys().cloned().collect();
-        names.sort();
-        names
+        table_names(&self.snap.catalog)
     }
 
     /// A table's schema.
     pub fn schema(&self, table: &str) -> Result<Schema> {
-        Ok(self.entry(table)?.info.schema)
+        schema(&self.snap.catalog, table)
     }
 
     /// Fetches a row by primary key.
     pub fn get(&self, table: &str, id: u64) -> Result<Option<Vec<RV>>> {
-        let entry = self.entry(table)?;
-        let mut r = self.reader();
-        let Some(packed) = BTree::open(entry.info.index_root).get(&mut r, id)? else {
-            return Ok(None);
-        };
-        let bytes =
-            Heap::open(entry.info.heap_root).get(&mut r, crate::heap::RecordId::unpack(packed))?;
-        Ok(Some(decode_row(&entry.info.schema, &bytes)?))
+        self.reads().get(table, id)
     }
 
     /// All rows, in primary-key order.
@@ -1120,38 +1108,27 @@ impl<'db> ReadTransaction<'db> {
 
     /// Rows with `lo <= id <= hi`, in key order.
     pub fn range(&self, table: &str, lo: u64, hi: u64) -> Result<Vec<Vec<RV>>> {
-        let entry = self.entry(table)?;
-        let mut r = self.reader();
-        let index = BTree::open(entry.info.index_root);
-        let heap = Heap::open(entry.info.heap_root);
-        let pairs = index.range(&mut r, lo, hi)?;
-        let mut rows = Vec::with_capacity(pairs.len());
-        for (_, packed) in pairs {
-            let bytes = heap.get(&mut r, crate::heap::RecordId::unpack(packed))?;
-            rows.push(decode_row(&entry.info.schema, &bytes)?);
-        }
-        Ok(rows)
+        self.reads().range(table, lo, hi)
     }
 
     /// Number of rows in a table.
     pub fn count(&self, table: &str) -> Result<usize> {
-        let entry = self.entry(table)?;
-        BTree::open(entry.info.index_root).len(&mut self.reader())
+        self.reads().count(table)
     }
 
     /// Reads a whole BLOB.
     pub fn get_blob(&self, id: BlobId) -> Result<Vec<u8>> {
-        BlobStore::read(&mut self.reader(), id)
+        self.reads().get_blob(id)
     }
 
     /// Reads the first `n` bytes of a BLOB (progressive transfer).
     pub fn get_blob_prefix(&self, id: BlobId, n: usize) -> Result<Vec<u8>> {
-        BlobStore::read_prefix(&mut self.reader(), id, n)
+        self.reads().get_blob_prefix(id, n)
     }
 
     /// A BLOB's length.
     pub fn blob_len(&self, id: BlobId) -> Result<u64> {
-        BlobStore::len(&mut self.reader(), id)
+        self.reads().blob_len(id)
     }
 }
 
@@ -1165,25 +1142,6 @@ fn catalog_root(inner: &mut Inner) -> Result<PageId> {
     inner
         .pool
         .with_page(PageId::META, |p| PageId(p.get_u64(META_CATALOG_ROOT)))
-}
-
-/// Frees all pages reachable from a B+tree root.
-fn free_btree(pool: &mut BufferPool, root: PageId) -> Result<()> {
-    let kind = pool.with_page(root, |p| p.kind())?;
-    if kind == PageKind::BTreeInternal {
-        let children: Vec<PageId> = pool.with_page(root, |p| {
-            let n = p.get_u16(0) as usize;
-            let mut out = vec![PageId(p.get_u64(8))];
-            for i in 0..n {
-                out.push(PageId(p.get_u64(16 + i * 16 + 8)));
-            }
-            out
-        })?;
-        for c in children {
-            free_btree(pool, c)?;
-        }
-    }
-    pool.free_page(root)
 }
 
 #[cfg(test)]

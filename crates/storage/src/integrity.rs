@@ -25,11 +25,12 @@
 
 use crate::blob;
 use crate::btree;
-use crate::catalog::{decode_row, ColumnType, RowValue};
-use crate::db::{Database, Inner, META_CATALOG_ROOT, META_MAGIC, META_MAGIC_OFF};
-use crate::heap::{self, Heap, RecordId};
+use crate::catalog::{ColumnType, RowValue};
+use crate::db::{Database, Reads, META_CATALOG_ROOT, META_MAGIC, META_MAGIC_OFF};
+use crate::heap::{self, RecordId};
 use crate::page::{PageId, PageKind};
-use crate::pager::META_FREE_HEAD;
+use crate::pager::{PageRead, META_FREE_HEAD};
+use crate::snapshot::SnapshotReader;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -77,12 +78,12 @@ impl fmt::Display for IntegrityReport {
 
 impl Database {
     /// Walks every committed structure and verifies the storage invariants
-    /// (see the [module docs](self)). Takes the writer lock: do not call
-    /// while a [`Transaction`](crate::Transaction) is open on the same
-    /// thread. Snapshot readers are unaffected.
+    /// (see the [module docs](self)). The walk reads a snapshot of the last
+    /// committed state, like [`begin_read`](Self::begin_read): it never
+    /// takes the writer lock, and an open [`Transaction`](crate::Transaction)
+    /// neither blocks it nor shows up in the report.
     pub fn check_integrity(&self) -> IntegrityReport {
-        let mut inner = self.writer.lock();
-        check(&mut inner)
+        check(&mut self.snapshot().reads())
     }
 }
 
@@ -109,9 +110,9 @@ impl Claims {
     }
 }
 
-fn check(inner: &mut Inner) -> IntegrityReport {
+fn check(r: &mut Reads<'_, SnapshotReader<'_>>) -> IntegrityReport {
     let mut rep = IntegrityReport {
-        pages: inner.pool.num_pages(),
+        pages: r.pages.snap.num_pages,
         ..IntegrityReport::default()
     };
     let mut claims = Claims {
@@ -125,7 +126,7 @@ fn check(inner: &mut Inner) -> IntegrityReport {
         return rep;
     }
     claims.claim(PageId::META, "meta", &mut rep.errors);
-    match inner.pool.with_page(PageId::META, |p| {
+    match r.pages.with_page(PageId::META, |p| {
         (
             p.kind(),
             p.get_u64(META_MAGIC_OFF),
@@ -140,45 +141,48 @@ fn check(inner: &mut Inner) -> IntegrityReport {
                 rep.errors
                     .push(format!("meta magic {magic:#x} != {META_MAGIC:#x}"));
             }
-            walk_free_list(inner, PageId(free_head), &mut claims, &mut rep);
+            walk_free_list(&mut r.pages, PageId(free_head), &mut claims, &mut rep);
         }
         Err(e) => rep.errors.push(format!("meta page unreadable: {e}")),
     }
 
     // Catalog heap.
-    let catalog_root = match inner
-        .pool
+    let catalog_root = match r
+        .pages
         .with_page(PageId::META, |p| PageId(p.get_u64(META_CATALOG_ROOT)))
     {
         Ok(root) => root,
         Err(_) => return rep, // already reported above
     };
     if catalog_root.is_some() {
-        walk_heap_chain(inner, catalog_root, "catalog heap", &mut claims, &mut rep);
+        walk_heap_chain(
+            &mut r.pages,
+            catalog_root,
+            "catalog heap",
+            &mut claims,
+            &mut rep,
+        );
     } else {
         rep.errors.push("meta page has no catalog root".to_string());
     }
 
-    // Tables: the in-memory catalog was loaded from the catalog heap at
+    // Tables: the committed catalog was loaded from the catalog heap at
     // open, so it is the authoritative view of what should be reachable.
-    let tables: Vec<_> = {
-        let mut t: Vec<_> = inner.catalog.values().map(|e| e.info.clone()).collect();
-        t.sort_by(|a, b| a.name.cmp(&b.name));
-        t
-    };
+    let mut tables: Vec<_> = r.catalog.values().map(|e| &e.info).collect();
+    tables.sort_by(|a, b| a.name.cmp(&b.name));
     rep.tables = tables.len();
     let mut seen_blobs: HashSet<u64> = HashSet::new();
-    for info in &tables {
+    for info in tables {
         let live = walk_heap_chain(
-            inner,
+            &mut r.pages,
             info.heap_root,
             &format!("table {} heap", info.name),
             &mut claims,
             &mut rep,
         );
-        let pairs = walk_btree(inner, info, &mut claims, &mut rep);
+        let pairs = walk_btree(&mut r.pages, info, &mut claims, &mut rep);
         check_rows(
-            inner,
+            r,
             info,
             &live,
             &pairs,
@@ -193,8 +197,8 @@ fn check(inner: &mut Inner) -> IntegrityReport {
     // pages by design, so this is a warning, not an error.
     for id in 0..rep.pages {
         if !claims.owner.contains_key(&id) {
-            let kind = inner
-                .pool
+            let kind = r
+                .pages
                 .with_page(PageId(id), |p| format!("{:?}", p.kind()))
                 .unwrap_or_else(|e| format!("unreadable: {e}"));
             rep.warnings
@@ -204,13 +208,18 @@ fn check(inner: &mut Inner) -> IntegrityReport {
     rep
 }
 
-fn walk_free_list(inner: &mut Inner, head: PageId, claims: &mut Claims, rep: &mut IntegrityReport) {
+fn walk_free_list(
+    pages: &mut impl PageRead,
+    head: PageId,
+    claims: &mut Claims,
+    rep: &mut IntegrityReport,
+) {
     let mut node = head;
     while node.is_some() {
         if !claims.claim(node, "free list", &mut rep.errors) {
             return; // out of bounds or cycle back into something claimed
         }
-        match inner.pool.with_page(node, |p| (p.kind(), p.get_u64(0))) {
+        match pages.with_page(node, |p| (p.kind(), p.get_u64(0))) {
             Ok((kind, next)) => {
                 if kind != PageKind::Free {
                     rep.errors
@@ -230,7 +239,7 @@ fn walk_free_list(inner: &mut Inner, head: PageId, claims: &mut Claims, rep: &mu
 
 /// Claims and type-checks a heap chain; returns the set of live record ids.
 fn walk_heap_chain(
-    inner: &mut Inner,
+    pages: &mut impl PageRead,
     first: PageId,
     what: &str,
     claims: &mut Claims,
@@ -242,7 +251,7 @@ fn walk_heap_chain(
         if !claims.claim(node, what, &mut rep.errors) {
             return live;
         }
-        let scanned = inner.pool.with_page(node, |p| {
+        let scanned = pages.with_page(node, |p| {
             if p.kind() != PageKind::Heap {
                 return Err(format!("{what}: page {} has kind {:?}", node.0, p.kind()));
             }
@@ -278,7 +287,7 @@ fn walk_heap_chain(
 /// Claims and structurally verifies a table's B+tree. Returns the in-order
 /// `(key, value)` pairs.
 fn walk_btree(
-    inner: &mut Inner,
+    pages: &mut impl PageRead,
     info: &crate::catalog::TableInfo,
     claims: &mut Claims,
     rep: &mut IntegrityReport,
@@ -288,7 +297,7 @@ fn walk_btree(
     let mut leaves = Vec::new();
     let mut leaf_depth: Option<usize> = None;
     walk_btree_node(
-        inner,
+        pages,
         info.index_root,
         0,
         &what,
@@ -321,10 +330,7 @@ fn walk_btree(
                 break;
             }
             chain.push(node);
-            match inner
-                .pool
-                .with_page(node, |p| PageId(p.get_u64(btree::OFF_NEXT_LEAF)))
-            {
+            match pages.with_page(node, |p| PageId(p.get_u64(btree::OFF_NEXT_LEAF))) {
                 Ok(next) => node = next,
                 Err(e) => {
                     rep.errors
@@ -346,7 +352,7 @@ fn walk_btree(
 
 #[allow(clippy::too_many_arguments)]
 fn walk_btree_node(
-    inner: &mut Inner,
+    pages: &mut impl PageRead,
     node: PageId,
     depth: usize,
     what: &str,
@@ -359,7 +365,7 @@ fn walk_btree_node(
     if !claims.claim(node, what, &mut rep.errors) {
         return;
     }
-    let read = inner.pool.with_page(node, |p| {
+    let read = pages.with_page(node, |p| {
         let kind = p.kind();
         let nkeys = p.get_u16(btree::OFF_NKEYS) as usize;
         match kind {
@@ -416,7 +422,7 @@ fn walk_btree_node(
                 }
                 for child in children {
                     walk_btree_node(
-                        inner,
+                        pages,
                         child,
                         depth + 1,
                         what,
@@ -440,7 +446,7 @@ fn walk_btree_node(
 /// schema, chases blob values, and flags orphan heap records.
 #[allow(clippy::too_many_arguments)]
 fn check_rows(
-    inner: &mut Inner,
+    r: &mut Reads<'_, impl PageRead>,
     info: &crate::catalog::TableInfo,
     live: &HashSet<u64>,
     pairs: &[(u64, u64)],
@@ -449,7 +455,6 @@ fn check_rows(
     rep: &mut IntegrityReport,
 ) {
     let what = format!("table {}", info.name);
-    let heap = Heap::open(info.heap_root);
     let mut referenced: HashSet<u64> = HashSet::new();
     for &(key, packed) in pairs {
         if !live.contains(&packed) {
@@ -460,19 +465,11 @@ fn check_rows(
             continue;
         }
         referenced.insert(packed);
-        let bytes = match heap.get(&mut inner.pool, RecordId::unpack(packed)) {
-            Ok(b) => b,
+        let row = match r.row(info, packed) {
+            Ok(row) => row,
             Err(e) => {
                 rep.errors
-                    .push(format!("{what}: record for key {key} unreadable: {e}"));
-                continue;
-            }
-        };
-        let row = match decode_row(&info.schema, &bytes) {
-            Ok(r) => r,
-            Err(e) => {
-                rep.errors
-                    .push(format!("{what}: row {key} fails to decode: {e}"));
+                    .push(format!("{what}: row {key} unreadable: {e}"));
                 continue;
             }
         };
@@ -486,7 +483,7 @@ fn check_rows(
             if col.ty == ColumnType::Blob {
                 if let RowValue::Blob(id) = value {
                     if seen_blobs.insert(id.0) {
-                        walk_blob(inner, *id, &what, key, claims, rep);
+                        walk_blob(&mut r.pages, *id, &what, key, claims, rep);
                     }
                 }
             }
@@ -501,7 +498,7 @@ fn check_rows(
 }
 
 fn walk_blob(
-    inner: &mut Inner,
+    pages: &mut impl PageRead,
     id: crate::blob::BlobId,
     what: &str,
     key: u64,
@@ -523,7 +520,7 @@ fn walk_blob(
             // with another structure — all already reported.
             return;
         }
-        let read = inner.pool.with_page(page, |p| {
+        let read = pages.with_page(page, |p| {
             if p.kind() != PageKind::Blob {
                 return Err(format!(
                     "{what}: row {key} {label} page {node} has kind {:?}",

@@ -5,9 +5,10 @@
 //! substitute substrate: a small but real storage engine with
 //!
 //! * fixed-size [pages](page) with checksums,
-//! * a [paging layer](pager): a sharded, lock-striped read cache shared by
-//!   all readers plus a private write-set buffer for the single writer
-//!   (no-steal policy),
+//! * a [paging layer](pager): one sharded, lock-striped, clock-evicted
+//!   cache of committed pages shared by every reader, plus the single
+//!   writer's private, never-evicted write set (no-steal policy), both
+//!   counted in one metrics registry,
 //! * a redo-only [write-ahead log](wal) with group commit and crash
 //!   recovery,
 //! * [slotted-page heap files](heap) for records,
@@ -15,7 +16,9 @@
 //! * a [chunked BLOB store](blob) for multimedia payloads of up to 4 GiB
 //!   (the paper's Oracle BLOB limit), and
 //! * a [catalog] + [database facade](db) with typed tables, single-writer
-//!   transactions and snapshot-isolated readers.
+//!   transactions and snapshot-isolated readers, opened one way:
+//!   [`Database::open_with`] a [`Source`] and [`DbOptions`]
+//!   ([`Database::open`] and [`Database::in_memory`] are its defaults).
 //!
 //! The `rcmo-mediadb` crate builds the paper's Figure-7 schema on top.
 //!
@@ -74,7 +77,7 @@ pub use backend::{
 };
 pub use blob::BlobId;
 pub use catalog::{Column, ColumnType, Schema};
-pub use db::{Database, DbOptions, ReadTransaction, RowValue, Transaction};
+pub use db::{Database, DbOptions, ReadTransaction, RowValue, Source, Transaction};
 pub use error::StorageError;
 pub use heap::RecordId;
 pub use integrity::IntegrityReport;

@@ -1,37 +1,41 @@
-//! The paging layer: a sharded, lock-striped read cache shared by every
-//! reader, plus a private write-set buffer for the single writer.
+//! The paging layer: one sharded, lock-striped cache of committed pages
+//! shared by every reader, plus the single writer's private write set.
 //!
-//! Reads are layered. The writer's [`BufferPool`] resolves a page as:
+//! A committed page resolves through [`ReadLayer::with_committed`] — the
+//! one place hits and misses are counted:
 //!
-//! 1. its own **write set** (pages dirtied by the in-flight transaction),
-//! 2. the committed **overlay** of its base snapshot (pages committed since
-//!    the last checkpoint, shared `Arc<Page>` images),
-//! 3. the shared [`ReadLayer`]: a [`PageCache`] split into K lock-striped
-//!    shards keyed by `PageId`, falling back to the data file.
+//! 1. the committed **overlay** of a snapshot (pages committed since the
+//!    last checkpoint, shared `Arc<Page>` images),
+//! 2. the [`PageCache`]: lock-striped shards keyed by `PageId`, each with
+//!    its own clock eviction,
+//! 3. the data file.
 //!
-//! Concurrent snapshot readers use the same layers 2–3 through
-//! [`SnapshotReader`](crate::snapshot::SnapshotReader), so no read ever
-//! needs the writer lock, and no shard lock is ever held across disk I/O
-//! for another shard.
+//! The writer's [`BufferPool`] puts its **write set** (pages dirtied by the
+//! in-flight transaction) in front of that path; snapshot readers
+//! ([`SnapshotReader`](crate::snapshot::SnapshotReader)) use it as is. No
+//! read ever needs the writer lock, and no shard lock is ever held across
+//! disk I/O.
 //!
 //! Access is closure-scoped ([`PageRead::with_page`] /
 //! [`BufferPool::with_page_mut`]) so a page reference can never outlive one
-//! call; that makes pin counts unnecessary. The write set is not evictable
-//! (the WAL is redo-only, so uncommitted pages must never reach the data
-//! file); a transaction that dirties more pages than the configured
-//! capacity grows the set past it and counts the overshoot on
-//! `storage.pool.overflow.count` instead of failing mid-transaction.
+//! call; that makes pin counts unnecessary. The write set is never evicted
+//! and has no capacity: the WAL is redo-only, so uncommitted pages must not
+//! reach the data file, and a transaction holds every page it dirtied until
+//! commit.
 //!
 //! Newly allocated pages live purely in the write set (`virtual_end` past
 //! the committed end) until the owning transaction commits, so an abort
 //! simply drops the write set and published state is untouched.
+//!
+//! The cache and the write set record into one [`Registry`], owned by the
+//! read layer; [`PoolStats`] is its typed view.
 
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, PageKind, PAGE_SIZE};
 use crate::snapshot::CommittedState;
 use parking_lot::Mutex;
-use rcmo_obs::{Counter, Metrics, Registry};
+use rcmo_obs::{Counter, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -39,6 +43,8 @@ use std::sync::Arc;
 pub const META_FREE_HEAD: usize = 8;
 /// Body offset (within a free page) of the next-free pointer.
 const FREE_NEXT: usize = 0;
+/// Lock stripes in the shared page cache.
+const CACHE_SHARDS: usize = 8;
 
 /// Closure-scoped read access to fixed-size pages.
 ///
@@ -50,7 +56,13 @@ pub trait PageRead {
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R>;
 }
 
-/// Cache statistics: a typed view over a paging metrics registry.
+impl<P: PageRead> PageRead for &mut P {
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
+        (**self).with_page(id, f)
+    }
+}
+
+/// Cache statistics: a typed view over a database's paging registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Page requests served from memory (write set, overlay, or cache).
@@ -59,10 +71,8 @@ pub struct PoolStats {
     pub misses: u64,
     /// Cached frames evicted to make room.
     pub evictions: u64,
-    /// Pages allocated over the pool's lifetime.
+    /// Pages allocated over the database's lifetime.
     pub allocations: u64,
-    /// Times a transaction's write set grew past the configured capacity.
-    pub overflows: u64,
 }
 
 impl PoolStats {
@@ -73,19 +83,6 @@ impl PoolStats {
             misses: obs.read_counter("storage.pool.miss.count"),
             evictions: obs.read_counter("storage.pool.eviction.count"),
             allocations: obs.read_counter("storage.pool.alloc.count"),
-            overflows: obs.read_counter("storage.pool.overflow.count"),
-        }
-    }
-
-    /// Field-wise sum. The write pool and the shared read layer keep
-    /// separate registries; a database-wide view merges them.
-    pub fn merged(self, other: PoolStats) -> PoolStats {
-        PoolStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            allocations: self.allocations + other.allocations,
-            overflows: self.overflows + other.overflows,
         }
     }
 }
@@ -121,11 +118,10 @@ pub(crate) struct PageCache {
 }
 
 impl PageCache {
-    pub(crate) fn new(shards: usize, total_frames: usize, obs: &Registry) -> PageCache {
-        let shards = shards.max(1);
+    fn new(total_frames: usize, obs: &Registry) -> PageCache {
         PageCache {
-            shard_capacity: (total_frames / shards).max(1),
-            shards: (0..shards)
+            shard_capacity: (total_frames / CACHE_SHARDS).max(1),
+            shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(CacheShard::default()))
                 .collect(),
             hits: obs.counter("storage.pool.hit.count"),
@@ -140,16 +136,11 @@ impl PageCache {
         &self.shards[h % self.shards.len()]
     }
 
-    pub(crate) fn get(&self, id: PageId) -> Option<Arc<Page>> {
+    fn get(&self, id: PageId) -> Option<Arc<Page>> {
         let mut shard = self.shard(id).lock();
-        match shard.map.get_mut(&id) {
-            Some(entry) => {
-                entry.referenced = true;
-                self.hits.inc();
-                Some(Arc::clone(&entry.page))
-            }
-            None => None,
-        }
+        let entry = shard.map.get_mut(&id)?;
+        entry.referenced = true;
+        Some(Arc::clone(&entry.page))
     }
 
     /// Inserts (or refreshes) a committed image. A full stripe evicts via
@@ -188,53 +179,54 @@ impl PageCache {
         );
         shard.ring.push_back(id);
     }
-
-    fn note_miss(&self) {
-        self.misses.inc();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
 }
 
-/// The shared read path below the committed overlay: the sharded
-/// [`PageCache`] over the data file. One instance per database, shared by
-/// the writer's pool and every snapshot reader via `Arc`.
+/// The shared read path: committed overlay, then the sharded [`PageCache`],
+/// then the data file. One instance per database, shared by the writer's
+/// pool and every snapshot reader via `Arc`.
 #[derive(Debug)]
 pub(crate) struct ReadLayer {
     pub(crate) disk: Mutex<DiskManager>,
     pub(crate) cache: PageCache,
-    obs: Registry,
+    /// The database's paging registry: the cache and the write set both
+    /// record here.
+    pub(crate) obs: Registry,
 }
 
 impl ReadLayer {
-    pub(crate) fn new(disk: DiskManager, cache_shards: usize, cache_frames: usize) -> ReadLayer {
+    pub(crate) fn new(disk: DiskManager, cache_frames: usize) -> ReadLayer {
         let obs = Registry::new();
-        let cache = PageCache::new(cache_shards, cache_frames, &obs);
         ReadLayer {
             disk: Mutex::new(disk),
-            cache,
+            cache: PageCache::new(cache_frames, &obs),
             obs,
         }
     }
 
-    /// Reads a committed page image: cache first, then the data file. The
-    /// disk lock is never held while touching a cache shard.
-    pub(crate) fn read(&self, id: PageId) -> Result<Arc<Page>> {
-        if let Some(page) = self.cache.get(id) {
-            return Ok(page);
+    /// Runs `f` on page `id` as of committed version `snap`: overlay first,
+    /// then cache, then the data file. The disk lock is never held while
+    /// touching a cache shard.
+    pub(crate) fn with_committed<R>(
+        &self,
+        snap: &CommittedState,
+        id: PageId,
+        f: impl FnOnce(&Page) -> R,
+    ) -> Result<R> {
+        if id.0 >= snap.num_pages {
+            return Err(StorageError::PageOutOfBounds(id.0));
         }
-        self.cache.note_miss();
-        let page = self.disk.lock().read_page(id)?;
-        let page = Arc::new(page);
+        if let Some(page) = snap.pages.get(&id) {
+            self.cache.hits.inc();
+            return Ok(f(page));
+        }
+        if let Some(page) = self.cache.get(id) {
+            self.cache.hits.inc();
+            return Ok(f(&page));
+        }
+        self.cache.misses.inc();
+        let page = Arc::new(self.disk.lock().read_page(id)?);
         self.cache.insert(id, Arc::clone(&page));
-        Ok(page)
-    }
-
-    pub(crate) fn stats(&self) -> PoolStats {
-        PoolStats::from_registry(&self.obs)
+        Ok(f(&page))
     }
 }
 
@@ -245,59 +237,32 @@ impl ReadLayer {
 pub struct BufferPool {
     layer: Arc<ReadLayer>,
     base: Arc<CommittedState>,
-    capacity: usize,
     /// The write set: every frame here belongs to the in-flight transaction.
     frames: HashMap<PageId, Page>,
     /// One past the highest allocated page id (≥ the committed end).
     virtual_end: u64,
-    obs: Registry,
-    hits: Counter,
     allocations: Counter,
-    overflows: Counter,
 }
 
 impl BufferPool {
-    /// A pool over the shared read layer, based on `base`, with a soft
-    /// write-set capacity of `capacity` frames (minimum 1).
-    pub(crate) fn new(
-        layer: Arc<ReadLayer>,
-        base: Arc<CommittedState>,
-        capacity: usize,
-    ) -> BufferPool {
-        let obs = Registry::new();
-        let hits = obs.counter("storage.pool.hit.count");
-        let allocations = obs.counter("storage.pool.alloc.count");
-        let overflows = obs.counter("storage.pool.overflow.count");
+    /// An empty write set over the shared read layer, based on `base`.
+    pub(crate) fn new(layer: Arc<ReadLayer>, base: Arc<CommittedState>) -> BufferPool {
         BufferPool {
             virtual_end: base.num_pages,
+            allocations: layer.obs.counter("storage.pool.alloc.count"),
             layer,
             base,
-            capacity: capacity.max(1),
             frames: HashMap::new(),
-            obs,
-            hits,
-            allocations,
-            overflows,
         }
     }
 
     /// Test-only: a standalone pool over `disk` with a default read layer
     /// and an empty base snapshot.
     #[cfg(test)]
-    pub(crate) fn for_tests(disk: DiskManager, capacity: usize) -> BufferPool {
+    pub(crate) fn for_tests(disk: DiskManager) -> BufferPool {
         let num_pages = disk.num_pages();
-        let layer = Arc::new(ReadLayer::new(disk, 4, 1024));
-        BufferPool::new(
-            layer,
-            Arc::new(CommittedState::bootstrap(num_pages)),
-            capacity,
-        )
-    }
-
-    /// This pool's statistics (write-set side only; see
-    /// [`PoolStats::merged`]).
-    pub fn stats(&self) -> PoolStats {
-        self.metrics()
+        let layer = Arc::new(ReadLayer::new(disk, 1024));
+        BufferPool::new(layer, Arc::new(CommittedState::bootstrap(num_pages)))
     }
 
     /// One past the highest allocated page id.
@@ -312,48 +277,6 @@ impl BufferPool {
         ids
     }
 
-    /// Resolves a committed (non-write-set) page image.
-    fn committed_page(&self, id: PageId) -> Result<Arc<Page>> {
-        if let Some(page) = self.base.pages.get(&id) {
-            self.hits.inc();
-            return Ok(Arc::clone(page));
-        }
-        if id.0 >= self.base.num_pages {
-            // Allocated by the in-flight transaction but missing from the
-            // write set: the write set is never evicted, so this indicates
-            // an engine bug.
-            return Err(StorageError::Internal(format!(
-                "allocated page {id} lost from the pool"
-            )));
-        }
-        self.layer.read(id)
-    }
-
-    /// Admits a frame into the write set. The capacity is a soft cap: a
-    /// transaction larger than the pool grows past it (counted on
-    /// `storage.pool.overflow.count`) rather than failing mid-flight,
-    /// because uncommitted pages can never be stolen to the data file under
-    /// a redo-only WAL.
-    fn admit(&mut self, id: PageId, page: Page) {
-        if self.frames.len() >= self.capacity {
-            self.overflows.inc();
-        }
-        self.frames.insert(id, page);
-    }
-
-    /// Runs `f` with read access to page `id`.
-    pub fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        if id.0 >= self.virtual_end {
-            return Err(StorageError::PageOutOfBounds(id.0));
-        }
-        if let Some(page) = self.frames.get(&id) {
-            self.hits.inc();
-            return Ok(f(page));
-        }
-        let page = self.committed_page(id)?;
-        Ok(f(&page))
-    }
-
     /// Runs `f` with write access to page `id`, copying it into the write
     /// set first if needed (copy-on-write from the committed image).
     pub fn with_page_mut<R>(&mut self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
@@ -361,10 +284,10 @@ impl BufferPool {
             return Err(StorageError::PageOutOfBounds(id.0));
         }
         if !self.frames.contains_key(&id) {
-            let page = (*self.committed_page(id)?).clone();
-            self.admit(id, page);
+            let page = self.layer.with_committed(&self.base, id, Page::clone)?;
+            self.frames.insert(id, page);
         } else {
-            self.hits.inc();
+            self.layer.cache.hits.inc();
         }
         Ok(f(self.frames.get_mut(&id).expect("just admitted")))
     }
@@ -396,7 +319,7 @@ impl BufferPool {
         }
         let id = PageId(self.virtual_end);
         self.virtual_end += 1;
-        self.admit(id, Page::new(kind));
+        self.frames.insert(id, Page::new(kind));
         Ok(id)
     }
 
@@ -452,19 +375,14 @@ impl BufferPool {
 
 impl PageRead for BufferPool {
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        BufferPool::with_page(self, id, f)
-    }
-}
-
-impl Metrics for BufferPool {
-    type View = PoolStats;
-
-    fn obs(&self) -> &Registry {
-        &self.obs
-    }
-
-    fn metrics(&self) -> PoolStats {
-        PoolStats::from_registry(&self.obs)
+        if id.0 >= self.virtual_end {
+            return Err(StorageError::PageOutOfBounds(id.0));
+        }
+        if let Some(page) = self.frames.get(&id) {
+            self.layer.cache.hits.inc();
+            return Ok(f(page));
+        }
+        self.layer.with_committed(&self.base, id, f)
     }
 }
 
@@ -472,12 +390,12 @@ impl Metrics for BufferPool {
 mod tests {
     use super::*;
 
-    fn fresh_pool(capacity: usize) -> BufferPool {
+    fn fresh_pool() -> BufferPool {
         let mut disk = DiskManager::in_memory();
         let mut meta = Page::new(PageKind::Meta);
         meta.put_u64(META_FREE_HEAD, PageId::NONE.0);
         disk.write_page(PageId::META, &mut meta).unwrap();
-        BufferPool::for_tests(disk, capacity)
+        BufferPool::for_tests(disk)
     }
 
     /// Publishes the pool's write set as a new committed version, as the
@@ -499,7 +417,7 @@ mod tests {
 
     #[test]
     fn allocate_and_access() {
-        let mut pool = fresh_pool(16);
+        let mut pool = fresh_pool();
         let a = pool.allocate(PageKind::Heap).unwrap();
         let b = pool.allocate(PageKind::Blob).unwrap();
         assert_ne!(a, b);
@@ -512,7 +430,7 @@ mod tests {
 
     #[test]
     fn free_list_reuses_pages() {
-        let mut pool = fresh_pool(16);
+        let mut pool = fresh_pool();
         let a = pool.allocate(PageKind::Heap).unwrap();
         let _b = pool.allocate(PageKind::Heap).unwrap();
         pool.free_page(a).unwrap();
@@ -523,7 +441,7 @@ mod tests {
 
     #[test]
     fn write_set_survives_publish_via_overlay() {
-        let mut pool = fresh_pool(16);
+        let mut pool = fresh_pool();
         let a = pool.allocate(PageKind::Heap).unwrap();
         pool.with_page_mut(a, |p| p.put_u64(0, 77)).unwrap();
         publish(&mut pool);
@@ -539,10 +457,9 @@ mod tests {
 
     #[test]
     fn overflowing_transaction_grows_with_warning() {
-        let mut pool = fresh_pool(4);
-        // One transaction dirties 64 pages in a pool of 4: every page must
-        // stay addressable (no eviction, no error), with the overshoot
-        // counted.
+        let mut pool = fresh_pool();
+        // One transaction dirties 64 pages: the write set has no capacity,
+        // so every page must stay addressable (no eviction, no error).
         let ids: Vec<PageId> = (0..64)
             .map(|_| pool.allocate(PageKind::Heap).unwrap())
             .collect();
@@ -552,17 +469,12 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(pool.with_page(id, |p| p.get_u64(0)).unwrap(), i as u64);
         }
-        let stats = pool.stats();
-        assert!(
-            stats.overflows > 0,
-            "overshoot must be observable: {stats:?}"
-        );
         assert_eq!(pool.dirty_ids().len(), 64);
     }
 
     #[test]
     fn discard_dirty_rolls_back() {
-        let mut pool = fresh_pool(16);
+        let mut pool = fresh_pool();
         let a = pool.allocate(PageKind::Heap).unwrap();
         pool.with_page_mut(a, |p| p.put_u64(0, 5)).unwrap();
         publish(&mut pool);
@@ -577,7 +489,7 @@ mod tests {
 
     #[test]
     fn cache_shards_hit_miss_and_evict() {
-        // A tiny 2-shard × 2-frame cache over a 20-page disk.
+        // A tiny cache (one frame per stripe) over a 20-page disk.
         let mut disk = DiskManager::in_memory();
         for i in 0..20u64 {
             let mut p = Page::new(if i == 0 {
@@ -588,28 +500,33 @@ mod tests {
             p.put_u64(0, i);
             disk.write_page(PageId(i), &mut p).unwrap();
         }
-        let layer = ReadLayer::new(disk, 2, 4);
-        assert_eq!(layer.cache.num_shards(), 2);
-        assert_eq!(layer.read(PageId(3)).unwrap().get_u64(0), 3); // miss
-        assert_eq!(layer.read(PageId(3)).unwrap().get_u64(0), 3); // hit
-        let s = layer.stats();
+        let layer = ReadLayer::new(disk, 4);
+        let snap = CommittedState::bootstrap(20);
+        let read = |i: u64| {
+            layer
+                .with_committed(&snap, PageId(i), |p| p.get_u64(0))
+                .unwrap()
+        };
+        assert_eq!(read(3), 3); // miss
+        assert_eq!(read(3), 3); // hit
+        let s = PoolStats::from_registry(&layer.obs);
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
-        // Stream every page through: the 4-frame cache must evict.
+        // Stream every page through: the cache must evict.
         for i in 0..20u64 {
-            assert_eq!(layer.read(PageId(i)).unwrap().get_u64(0), i);
+            assert_eq!(read(i), i);
         }
-        assert!(layer.stats().evictions > 0);
+        assert!(PoolStats::from_registry(&layer.obs).evictions > 0);
     }
 
     #[test]
     fn stats_track_hits_and_misses() {
-        let mut pool = fresh_pool(16);
+        let mut pool = fresh_pool();
         let a = pool.allocate(PageKind::Heap).unwrap();
         publish(&mut pool);
         pool.with_page(a, |_| ()).unwrap(); // overlay hit
         pool.with_page(a, |_| ()).unwrap();
-        let s = pool.stats().merged(pool.layer.stats());
+        let s = PoolStats::from_registry(&pool.layer.obs);
         assert!(s.hits >= 2);
         assert!(s.allocations >= 1);
     }

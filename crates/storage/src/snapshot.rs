@@ -14,7 +14,7 @@
 //! *older* version might still fall through the overlay to the data file.
 
 use crate::catalog::CatalogEntry;
-use crate::error::{Result, StorageError};
+use crate::error::Result;
 use crate::page::{Page, PageId};
 use crate::pager::{PageRead, ReadLayer};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -120,30 +120,17 @@ impl SnapshotRegistry {
     }
 }
 
-/// A [`PageRead`] view of one committed version: overlay first, then the
+/// A [`PageRead`] view of one committed version, resolved through the
 /// shared read layer. Constructed per call by read transactions; holds no
 /// locks.
 pub(crate) struct SnapshotReader<'a> {
-    snap: &'a CommittedState,
-    layer: &'a ReadLayer,
-}
-
-impl<'a> SnapshotReader<'a> {
-    pub(crate) fn new(snap: &'a CommittedState, layer: &'a ReadLayer) -> SnapshotReader<'a> {
-        SnapshotReader { snap, layer }
-    }
+    pub(crate) snap: &'a CommittedState,
+    pub(crate) layer: &'a ReadLayer,
 }
 
 impl PageRead for SnapshotReader<'_> {
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        if id.0 >= self.snap.num_pages {
-            return Err(StorageError::PageOutOfBounds(id.0));
-        }
-        if let Some(page) = self.snap.pages.get(&id) {
-            return Ok(f(page));
-        }
-        let page = self.layer.read(id)?;
-        Ok(f(&page))
+        self.layer.with_committed(self.snap, id, f)
     }
 }
 

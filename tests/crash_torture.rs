@@ -20,8 +20,8 @@
 use rcmo::mediadb::{AccessLevel, ImageObject, MediaDb};
 use rcmo::storage::db::wal_path_for;
 use rcmo::storage::{
-    failpoint, Column, ColumnType, CrashSpec, Database, DbOptions, FaultInjector, MemBackend,
-    RowValue, Schema, SimStore, StorageError,
+    failpoint, Backend, Column, ColumnType, CrashSpec, Database, DbOptions, FaultInjector,
+    MemBackend, RowValue, Schema, SimStore, Source, StorageError,
 };
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -29,6 +29,24 @@ use std::path::PathBuf;
 
 const FRAMES: usize = 256;
 const TABLE: &str = "t";
+
+/// Opens over explicit backends with a small cache, checkpointing eagerly on
+/// every commit so each durability site is crossed per transaction.
+fn open_eager(
+    data: impl Backend + 'static,
+    wal: impl Backend + 'static,
+) -> Result<Database, StorageError> {
+    Database::open_with(
+        Source::Backends {
+            data: Box::new(data),
+            wal: Box::new(wal),
+        },
+        DbOptions {
+            cache_frames: FRAMES,
+            ..DbOptions::eager()
+        },
+    )
+}
 
 fn tmp_db(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rcmo-torture-{}", std::process::id()));
@@ -414,12 +432,7 @@ fn faulty_backend_crash_at_every_operation() {
         let data = SimStore::new();
         let wal = SimStore::new();
         let inj = FaultInjector::new(CrashSpec::count_only(seed));
-        let db = Database::open_with_backends(
-            Box::new(data.backend(&inj)),
-            Box::new(wal.backend(&inj)),
-            FRAMES,
-        )
-        .unwrap();
+        let db = open_eager(data.backend(&inj), wal.backend(&inj)).unwrap();
         let (final_model, _, failed) = run_plans(&db, &plans);
         assert!(!failed, "counting run must not fail");
         drop(db);
@@ -437,11 +450,7 @@ fn faulty_backend_crash_at_every_operation() {
             let data = SimStore::new();
             let wal = SimStore::new();
             let inj = FaultInjector::new(spec);
-            let (committed, staged) = match Database::open_with_backends(
-                Box::new(data.backend(&inj)),
-                Box::new(wal.backend(&inj)),
-                FRAMES,
-            ) {
+            let (committed, staged) = match open_eager(data.backend(&inj), wal.backend(&inj)) {
                 // Crash during bootstrap: nothing was ever committed.
                 Err(_) => (None, None),
                 Ok(db) => {
@@ -455,10 +464,9 @@ fn faulty_backend_crash_at_every_operation() {
             );
 
             // Reopen only what survived the crash, with no further faults.
-            let db = Database::open_with_backends(
-                Box::new(MemBackend::from_bytes(data.surviving_bytes())),
-                Box::new(MemBackend::from_bytes(wal.surviving_bytes())),
-                FRAMES,
+            let db = open_eager(
+                MemBackend::from_bytes(data.surviving_bytes()),
+                MemBackend::from_bytes(wal.surviving_bytes()),
             )
             .unwrap_or_else(|e| {
                 panic!("salvage reopen after op {op} (torn={torn}, drop={drop_unsynced}): {e}")
@@ -567,11 +575,7 @@ fn transient_io_errors_leave_a_recoverable_store() {
     let data = SimStore::new();
     let wal = SimStore::new();
     let inj = FaultInjector::new(spec);
-    let (committed, staged) = match Database::open_with_backends(
-        Box::new(data.backend(&inj)),
-        Box::new(wal.backend(&inj)),
-        FRAMES,
-    ) {
+    let (committed, staged) = match open_eager(data.backend(&inj), wal.backend(&inj)) {
         Err(_) => (None, None),
         Ok(db) => {
             // Stop at the first failed commit: the on-disk image is then
@@ -586,10 +590,9 @@ fn transient_io_errors_leave_a_recoverable_store() {
     );
     assert!(!inj.crashed(), "transient spec must never hard-crash");
 
-    let db = Database::open_with_backends(
-        Box::new(MemBackend::from_bytes(data.bytes())),
-        Box::new(MemBackend::from_bytes(wal.bytes())),
-        FRAMES,
+    let db = open_eager(
+        MemBackend::from_bytes(data.bytes()),
+        MemBackend::from_bytes(wal.bytes()),
     )
     .expect("reopen after transient errors");
     let report = db.check_integrity();
@@ -635,9 +638,11 @@ fn group_commit_crash_keeps_acked_commits_and_prefix_order() {
             ..DbOptions::default()
         };
         let setup_ok = (|| {
-            let db = Database::open_with_backends_opts(
-                Box::new(data.backend(&inj)),
-                Box::new(wal.backend(&inj)),
+            let db = Database::open_with(
+                Source::Backends {
+                    data: Box::new(data.backend(&inj)),
+                    wal: Box::new(wal.backend(&inj)),
+                },
                 opts,
             )?;
             let mut tx = db.begin()?;
@@ -680,10 +685,9 @@ fn group_commit_crash_keeps_acked_commits_and_prefix_order() {
         );
 
         // Reopen only what a real disk would hold, with no further faults.
-        let db = Database::open_with_backends(
-            Box::new(MemBackend::from_bytes(data.surviving_bytes())),
-            Box::new(MemBackend::from_bytes(wal.surviving_bytes())),
-            FRAMES,
+        let db = open_eager(
+            MemBackend::from_bytes(data.surviving_bytes()),
+            MemBackend::from_bytes(wal.surviving_bytes()),
         )
         .unwrap_or_else(|e| panic!("reopen after group-commit crash at op {crash_op}: {e}"));
         let report = db.check_integrity();
@@ -757,7 +761,8 @@ fn mediadb_update_is_atomic_across_every_failpoint() {
         {
             // Eager checkpointing makes the single update commit cross every
             // durability site, so arming any of them must trip it.
-            let mdb = MediaDb::open_with_options(&path, DbOptions::eager()).unwrap();
+            let db = Database::open_with(Source::Path(path.clone()), DbOptions::eager()).unwrap();
+            let mdb = MediaDb::with_database(db).unwrap();
             failpoint::reset();
             failpoint::arm(site, 1);
             let res = mdb.update_image("dr-a", id, &v2);

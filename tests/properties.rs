@@ -272,24 +272,55 @@ fn table_matches_model() {
 /// the moment the snapshot was taken: never a partially-applied
 /// transaction, never a later commit, never a rolled-back one — no matter
 /// how many writers commit, roll back, or checkpoint after the snapshot.
+///
+/// Reads are defined once in the engine, so one read script
+/// (`get/scan/range/count/get_blob_prefix/blob_len`) runs verbatim against
+/// both transaction kinds: snapshots must agree with the shadow model at pin
+/// time, and a write transaction with its own uncommitted rows and BLOBs
+/// (read-your-writes).
 #[test]
 fn snapshot_readers_observe_serial_states() {
     use std::collections::BTreeMap;
 
-    fn dump_reader(tx: &rcmo::storage::ReadTransaction<'_>) -> BTreeMap<u64, i64> {
-        tx.scan("T")
-            .unwrap()
-            .into_iter()
-            .map(|r| {
-                (
-                    r[0].as_u64().unwrap(),
-                    match r[1] {
-                        RowValue::I64(v) => v,
-                        ref other => panic!("unexpected value {other:?}"),
-                    },
-                )
-            })
-            .collect()
+    /// key → (value, BLOB contents).
+    type Model = BTreeMap<u64, (i64, Vec<u8>)>;
+
+    /// `$tx` is a `&ReadTransaction` or a `&mut Transaction`: the read
+    /// methods share names, not a trait.
+    macro_rules! check_reads {
+        ($tx:expr, $model:expr, $ctx:expr) => {{
+            let (tx, model, ctx): (_, &Model, String) = ($tx, $model, $ctx);
+            let rows = tx.scan("T").unwrap();
+            assert_eq!(rows.len(), model.len(), "{ctx}: scan length");
+            assert_eq!(tx.count("T").unwrap(), model.len(), "{ctx}: count");
+            for (row, (key, (val, data))) in rows.iter().zip(model) {
+                assert_eq!(row[0], RowValue::U64(*key), "{ctx}: scan order");
+                assert_eq!(row[1], RowValue::I64(*val), "{ctx}: key {key}");
+                let RowValue::Blob(blob) = row[2] else {
+                    panic!("{ctx}: key {key} has no blob: {row:?}");
+                };
+                assert_eq!(tx.blob_len(blob).unwrap(), data.len() as u64, "{ctx}");
+                let cut = data.len() / 2 + 1;
+                assert_eq!(
+                    tx.get_blob_prefix(blob, cut).unwrap(),
+                    data[..cut.min(data.len())],
+                    "{ctx}: key {key} blob prefix"
+                );
+            }
+            let in_range: Vec<u64> = tx
+                .range("T", 8, 23)
+                .unwrap()
+                .iter()
+                .map(|r| r[0].as_u64().unwrap())
+                .collect();
+            let want: Vec<u64> = model.range(8..=23).map(|(k, _)| *k).collect();
+            assert_eq!(in_range, want, "{ctx}: range");
+            for key in 1..32u64 {
+                let got = tx.get("T", key).unwrap().map(|r| r[1].clone());
+                let want = model.get(&key).map(|(v, _)| RowValue::I64(*v));
+                assert_eq!(got, want, "{ctx}: get {key}");
+            }
+        }};
     }
 
     let mut rng = StdRng::seed_from_u64(0x05EE_D5A9);
@@ -302,6 +333,7 @@ fn snapshot_readers_observe_serial_states() {
                 rcmo::storage::Schema::new(vec![
                     rcmo::storage::Column::new("ID", rcmo::storage::ColumnType::U64),
                     rcmo::storage::Column::new("V", rcmo::storage::ColumnType::I64),
+                    rcmo::storage::Column::new("B", rcmo::storage::ColumnType::Blob),
                 ])
                 .unwrap(),
             )
@@ -311,8 +343,8 @@ fn snapshot_readers_observe_serial_states() {
 
         // Committed serial state, and the snapshots pinned along the way
         // (each paired with the model state at pin time).
-        let mut model: BTreeMap<u64, i64> = BTreeMap::new();
-        let mut pinned: Vec<(rcmo::storage::ReadTransaction<'_>, BTreeMap<u64, i64>)> = Vec::new();
+        let mut model = Model::new();
+        let mut pinned: Vec<(rcmo::storage::ReadTransaction<'_>, Model)> = Vec::new();
 
         for txn in 0..24 {
             let mut scratch = model.clone();
@@ -320,34 +352,43 @@ fn snapshot_readers_observe_serial_states() {
             for _ in 0..rng.gen_range(1..8usize) {
                 let key = rng.gen_range(1..32u64);
                 let val = rng.gen::<u16>() as i64;
-                match scratch.entry(key) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        if rng.gen_bool(0.5) {
-                            tx.update("T", key, vec![RowValue::Null, RowValue::I64(val)])
-                                .unwrap();
-                            e.insert(val);
-                        } else {
-                            tx.delete("T", key).unwrap();
-                            e.remove();
-                        }
-                    }
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        tx.insert("T", vec![RowValue::U64(key), RowValue::I64(val)])
-                            .unwrap();
-                        e.insert(val);
+                // Replaced and deleted rows free their BLOB, so later
+                // transactions reuse pages a pinned snapshot still reads.
+                if let Some(old) = tx.get("T", key).unwrap() {
+                    tx.delete_blob(old[2].as_blob().unwrap()).unwrap();
+                    if rng.gen_bool(0.5) {
+                        tx.delete("T", key).unwrap();
+                        scratch.remove(&key);
+                        continue;
                     }
                 }
+                let data: Vec<u8> = (0..rng.gen_range(0..20_000usize))
+                    .map(|_| rng.gen::<u8>())
+                    .collect();
+                let blob = RowValue::Blob(tx.put_blob(&data).unwrap());
+                if scratch.contains_key(&key) {
+                    tx.update("T", key, vec![RowValue::Null, RowValue::I64(val), blob])
+                        .unwrap();
+                } else {
+                    tx.insert("T", vec![RowValue::U64(key), RowValue::I64(val), blob])
+                        .unwrap();
+                }
+                scratch.insert(key, (val, data));
             }
+            // The writer reads its own uncommitted rows and BLOBs.
+            check_reads!(
+                &mut tx,
+                &scratch,
+                format!("case {case} txn {txn}: read-your-writes")
+            );
             // A snapshot taken while the writer holds uncommitted changes
             // must see the last *committed* state, not the scratch one.
             if rng.gen_bool(0.3) {
-                let snap = db.begin_read().unwrap();
-                assert_eq!(
-                    dump_reader(&snap),
-                    model,
-                    "case {case} txn {txn}: mid-transaction snapshot saw dirty state"
+                check_reads!(
+                    &db.begin_read().unwrap(),
+                    &model,
+                    format!("case {case} txn {txn}: mid-transaction snapshot")
                 );
-                drop(snap);
             }
             if rng.gen_bool(0.75) {
                 tx.commit().unwrap();
@@ -367,28 +408,15 @@ fn snapshot_readers_observe_serial_states() {
         }
 
         for (i, (snap, expect)) in pinned.iter().enumerate() {
-            assert_eq!(
-                &dump_reader(snap),
-                expect,
-                "case {case}: pinned snapshot {i} drifted from its serial state"
-            );
-            assert_eq!(snap.count("T").unwrap(), expect.len(), "case {case}");
-            for key in 1..32u64 {
-                let got = snap.get("T", key).unwrap().map(|r| match r[1] {
-                    RowValue::I64(v) => v,
-                    ref other => panic!("unexpected value {other:?}"),
-                });
-                assert_eq!(got, expect.get(&key).copied(), "case {case} key {key}");
-            }
+            check_reads!(snap, expect, format!("case {case}: pinned snapshot {i}"));
         }
         drop(pinned);
         // With every snapshot released the deferred fold must go through.
         db.checkpoint().unwrap();
-        let final_reader = db.begin_read().unwrap();
-        assert_eq!(
-            dump_reader(&final_reader),
-            model,
-            "case {case}: final state"
+        check_reads!(
+            &db.begin_read().unwrap(),
+            &model,
+            format!("case {case}: final state")
         );
     }
 }
