@@ -1449,8 +1449,10 @@ fn e15_reconfig() {
 
 /// E16 (crash torture): the storage stack's crash-survival matrix. Every
 /// named durability failpoint is armed at every occurrence across a seeded
-/// insert workload; after each induced crash the database is reopened and
-/// classified — the in-flight transaction is either *lost* (crash before the
+/// insert-and-update workload on a table with a secondary index (seeded one
+/// full leaf deep, so the first workload commit splits the primary-key and
+/// index roots and every later one moves index entries); after each induced
+/// crash the database is reopened and classified — the in-flight transaction is either *lost* (crash before the
 /// WAL commit record, only legal at `storage.wal.append`) or *durable*
 /// (recovered by WAL replay), and [`Database::check_integrity`] must pass.
 /// Recovery (reopen) latency is reported overall and bucketed by WAL length
@@ -1467,6 +1469,10 @@ fn e16_crash() {
     const TXNS: usize = 6;
     const ROWS_PER_TXN: u64 = 3;
     const SEEDS: [u64; 3] = [0x16A, 0x16B, 0x16C];
+    /// Filler rows `FILLER_BASE + 1 ..= FILLER_BASE + FILLERS`, inserted by
+    /// transaction 0: one full B+tree leaf in both of the table's trees.
+    const FILLERS: u64 = 500;
+    const FILLER_BASE: u64 = 10_000;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("rcmo-e16-{}", std::process::id()));
@@ -1484,8 +1490,23 @@ fn e16_crash() {
             .collect()
     }
 
-    /// Transaction 0 creates the table; transaction `t` ≥ 1 inserts rows
-    /// `(t-1)*ROWS_PER_TXN + 1 ..= t*ROWS_PER_TXN`, each with a BLOB.
+    /// The indexed column of row `id` as transaction `t` last wrote it.
+    fn tag(id: u64, t: usize) -> RowValue {
+        RowValue::Text(format!("t{t}-{}", id % 7))
+    }
+
+    fn filler(id: u64, t: usize) -> Vec<RowValue> {
+        vec![
+            RowValue::U64(id),
+            RowValue::I64(0),
+            tag(id, t),
+            RowValue::Null,
+        ]
+    }
+
+    /// Transaction 0 creates the table, indexes `T` and inserts the
+    /// fillers; transaction `t` ≥ 1 inserts rows `(t-1)*ROWS_PER_TXN + 1 ..=
+    /// t*ROWS_PER_TXN`, each with a BLOB, and retags as many fillers.
     fn run_txn(db: &Database, t: usize, seed: u64) -> Result<(), StorageError> {
         let mut tx = db.begin()?;
         if t == 0 {
@@ -1494,10 +1515,15 @@ fn e16_crash() {
                 Schema::new(vec![
                     Column::new("ID", ColumnType::U64),
                     Column::new("V", ColumnType::I64),
+                    Column::new("T", ColumnType::Text),
                     Column::new("B", ColumnType::Blob),
                 ])
                 .unwrap(),
             )?;
+            tx.create_index("e16", "T")?;
+            for id in FILLER_BASE + 1..=FILLER_BASE + FILLERS {
+                tx.insert("e16", filler(id, 0))?;
+            }
         } else {
             for r in 0..ROWS_PER_TXN {
                 let id = (t as u64 - 1) * ROWS_PER_TXN + r + 1;
@@ -1507,9 +1533,11 @@ fn e16_crash() {
                     vec![
                         RowValue::U64(id),
                         RowValue::I64(-(id as i64)),
+                        tag(id, t),
                         RowValue::Blob(b),
                     ],
                 )?;
+                tx.update("e16", FILLER_BASE + id, filler(FILLER_BASE + id, t))?;
             }
         }
         tx.commit()
@@ -1595,10 +1623,10 @@ fn e16_crash() {
                 // Classify: which prefix of the workload survived?
                 let mut tx = db.begin().unwrap();
                 let recovered = if tx.table_names().iter().any(|t| t == "e16") {
-                    let rows = tx.scan("e16").unwrap();
+                    let rows = tx.range("e16", 1, FILLER_BASE).unwrap();
                     let mut ok = (rows.len() as u64).is_multiple_of(ROWS_PER_TXN);
                     for (i, row) in rows.iter().enumerate() {
-                        let (RowValue::U64(id), RowValue::Blob(b)) = (&row[0], &row[2]) else {
+                        let (RowValue::U64(id), RowValue::Blob(b)) = (&row[0], &row[3]) else {
                             ok = false;
                             break;
                         };
@@ -1608,11 +1636,20 @@ fn e16_crash() {
                                 .map(|d| d == blob_for(*id, seed))
                                 .unwrap_or(false);
                     }
+                    // A transaction's inserts and its retagged fillers are
+                    // visible together, by row and through the index.
+                    let txns = rows.len() / ROWS_PER_TXN as usize;
+                    for id in FILLER_BASE + 1..=FILLER_BASE + FILLERS {
+                        let t = (id - FILLER_BASE - 1) / ROWS_PER_TXN + 1;
+                        let t = if t as usize <= txns { t as usize } else { 0 };
+                        let found = tx.find("e16", "T", &tag(id, t)).unwrap();
+                        ok &= found.contains(&filler(id, t));
+                    }
                     assert!(
                         ok,
                         "E16: {site}@{n} (seed {seed:#x}): partial transaction visible"
                     );
-                    1 + rows.len() / ROWS_PER_TXN as usize
+                    1 + txns
                 } else {
                     0
                 };
@@ -1667,9 +1704,9 @@ fn e16_crash() {
         quantile(&all_us, 0.99)
     );
     const BUCKETS: [(&str, u64, u64); 3] = [
-        ("<16KiB", 0, 16 << 10),
-        ("16-48KiB", 16 << 10, 48 << 10),
-        (">=48KiB", 48 << 10, u64::MAX),
+        ("<64KiB", 0, 64 << 10),
+        ("64-224KiB", 64 << 10, 224 << 10),
+        (">=224KiB", 224 << 10, u64::MAX),
     ];
     let mut bucket_entries = Vec::new();
     for (label, lo, hi) in BUCKETS {

@@ -9,6 +9,11 @@
 //! * `Admin` — additionally manage users and register media types.
 //!
 //! A fresh database is bootstrapped with the user `admin` at `Admin` level.
+//!
+//! `USERS_TABLE` carries a secondary index on `NAME`, and every check here
+//! is one keyed `find` through it: a permission costs the same whether the
+//! community has eight users or eight thousand. There is deliberately no
+//! cache of levels beside the table — the table is the one source of truth.
 
 use crate::error::{MediaError, Result};
 use rcmo_storage::{Column, ColumnType, Database, RowValue, Schema};
@@ -64,21 +69,27 @@ fn users_schema() -> Schema {
     .expect("static schema is valid")
 }
 
-/// Creates the users table with the bootstrap admin. Idempotent.
+fn user_row(user: &str, level: AccessLevel) -> Vec<RowValue> {
+    vec![
+        RowValue::Null,
+        RowValue::Text(user.to_string()),
+        RowValue::I64(level.tag()),
+    ]
+}
+
+/// Creates the users table with the bootstrap admin, or — on a database
+/// from before secondary indexes — the missing index on `NAME`. Idempotent.
 pub fn install(db: &Database) -> Result<()> {
     let mut tx = db.begin()?;
-    if tx.table_names().iter().any(|t| t == USERS_TABLE) {
+    if !tx.table_names().iter().any(|t| t == USERS_TABLE) {
+        tx.create_table(USERS_TABLE, users_schema())?;
+        tx.create_index(USERS_TABLE, "NAME")?;
+        tx.insert(USERS_TABLE, user_row("admin", AccessLevel::Admin))?;
+    } else if tx.indexes(USERS_TABLE)?.is_empty() {
+        tx.create_index(USERS_TABLE, "NAME")?;
+    } else {
         return Ok(());
     }
-    tx.create_table(USERS_TABLE, users_schema())?;
-    tx.insert(
-        USERS_TABLE,
-        vec![
-            RowValue::Null,
-            RowValue::Text("admin".to_string()),
-            RowValue::I64(AccessLevel::Admin.tag()),
-        ],
-    )?;
     tx.commit()?;
     Ok(())
 }
@@ -86,33 +97,10 @@ pub fn install(db: &Database) -> Result<()> {
 /// Adds or updates a user's level.
 pub fn put_user(db: &Database, user: &str, level: AccessLevel) -> Result<()> {
     let mut tx = db.begin()?;
-    let existing = tx
-        .scan(USERS_TABLE)?
-        .into_iter()
-        .find(|r| matches!(&r[1], RowValue::Text(n) if n == user));
-    match existing {
-        Some(row) => {
-            let id = row[0].as_u64()?;
-            tx.update(
-                USERS_TABLE,
-                id,
-                vec![
-                    RowValue::Null,
-                    RowValue::Text(user.to_string()),
-                    RowValue::I64(level.tag()),
-                ],
-            )?;
-        }
-        None => {
-            tx.insert(
-                USERS_TABLE,
-                vec![
-                    RowValue::Null,
-                    RowValue::Text(user.to_string()),
-                    RowValue::I64(level.tag()),
-                ],
-            )?;
-        }
+    let existing = tx.find(USERS_TABLE, "NAME", &RowValue::Text(user.to_string()))?;
+    match existing.first() {
+        Some(row) => tx.update(USERS_TABLE, row[0].as_u64()?, user_row(user, level))?,
+        None => drop(tx.insert(USERS_TABLE, user_row(user, level))?),
     }
     tx.commit()?;
     Ok(())
@@ -121,20 +109,17 @@ pub fn put_user(db: &Database, user: &str, level: AccessLevel) -> Result<()> {
 /// Looks a user's level up.
 pub fn user_level(db: &Database, user: &str) -> Result<Option<AccessLevel>> {
     let tx = db.begin_read()?;
-    for row in tx.scan(USERS_TABLE)? {
-        if matches!(&row[1], RowValue::Text(n) if n == user) {
-            let tag = match row[2] {
-                RowValue::I64(t) => t,
-                ref other => {
-                    return Err(MediaError::Malformed(format!(
-                        "user level column holds {other:?}"
-                    )))
-                }
-            };
-            return Ok(AccessLevel::from_tag(tag));
-        }
+    let rows = tx.find(USERS_TABLE, "NAME", &RowValue::Text(user.to_string()))?;
+    let Some(row) = rows.first() else {
+        return Ok(None);
+    };
+    // An unknown tag is corruption (or a newer format), not "no such user".
+    match row[2] {
+        RowValue::I64(tag) => AccessLevel::from_tag(tag),
+        _ => None,
     }
-    Ok(None)
+    .map(Some)
+    .ok_or_else(|| MediaError::Malformed(format!("user level column holds {:?}", row[2])))
 }
 
 /// Fails unless `user` holds at least `required`.

@@ -17,8 +17,10 @@
 //! as the system evolves" — [`MediaDb::register_type`] adds a type and its
 //! object table at runtime.
 //!
-//! Mutating operations are permission-checked ([`acl`]), mirroring the
-//! paper's "providing that the client has the appropriate permissions".
+//! Every operation is permission-checked ([`acl`]), mirroring the paper's
+//! "providing that the client has the appropriate permissions". The check
+//! and the media-type lookup are keyed: `USERS_TABLE.NAME` and the master
+//! table's `FLD_NAME` carry secondary indexes, so neither scans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,6 +101,14 @@ impl MediaDb {
     /// The access level of a user, if registered.
     pub fn user_level(&self, user: &str) -> Result<Option<AccessLevel>> {
         acl::user_level(&self.db, user)
+    }
+
+    /// Fails with [`MediaError::Denied`] unless `user` holds at least
+    /// `level` — the check every operation here opens with, for callers
+    /// that gate work of their own (joining a room, announcing) on a
+    /// database permission. One keyed lookup; no listing, no payload.
+    pub fn require(&self, user: &str, level: AccessLevel) -> Result<()> {
+        acl::require(&self.db, user, level)
     }
 
     // ------------------------------------------------------------------

@@ -84,14 +84,44 @@ fn doc_schema() -> Schema {
     .expect("static schema is valid")
 }
 
-/// Installs the master table, the built-in object tables, and their master
-/// rows. Idempotent.
+impl MediaType {
+    fn from_row(r: &[RowValue]) -> Result<MediaType> {
+        Ok(MediaType {
+            name: text(r, 1)?,
+            mime: text(r, 2)?,
+            access_type: text(r, 3)?,
+            object_table: text(r, 4)?,
+            description: text(r, 5)?,
+        })
+    }
+
+    fn to_row(&self) -> Vec<RowValue> {
+        let text = |s: &str| RowValue::Text(s.to_string());
+        vec![
+            RowValue::Null,
+            text(&self.name),
+            text(&self.mime),
+            text(&self.access_type),
+            text(&self.object_table),
+            text(&self.description),
+        ]
+    }
+}
+
+/// Installs the master table (indexed on `FLD_NAME`), the built-in object
+/// tables, and their master rows — or, on a database from before secondary
+/// indexes, the missing index. Idempotent.
 pub fn install(db: &Database) -> Result<()> {
     let mut tx = db.begin()?;
     if tx.table_names().iter().any(|t| t == MASTER_TABLE) {
+        if tx.indexes(MASTER_TABLE)?.is_empty() {
+            tx.create_index(MASTER_TABLE, "FLD_NAME")?;
+            tx.commit()?;
+        }
         return Ok(()); // already installed; tx drops as a no-op
     }
     tx.create_table(MASTER_TABLE, master_schema())?;
+    tx.create_index(MASTER_TABLE, "FLD_NAME")?;
     tx.create_table(IMAGE_TABLE, image_schema())?;
     tx.create_table(AUDIO_TABLE, audio_schema())?;
     tx.create_table(CMP_TABLE, cmp_schema())?;
@@ -126,17 +156,14 @@ pub fn install(db: &Database) -> Result<()> {
             "multimedia documents with CP-networks",
         ),
     ] {
-        tx.insert(
-            MASTER_TABLE,
-            vec![
-                RowValue::Null,
-                RowValue::Text(name.to_string()),
-                RowValue::Text(mime.to_string()),
-                RowValue::Text(access.to_string()),
-                RowValue::Text(table.to_string()),
-                RowValue::Text(desc.to_string()),
-            ],
-        )?;
+        let ty = MediaType {
+            name: name.to_string(),
+            mime: mime.to_string(),
+            access_type: access.to_string(),
+            object_table: table.to_string(),
+            description: desc.to_string(),
+        };
+        tx.insert(MASTER_TABLE, ty.to_row())?;
     }
     tx.commit()?;
     Ok(())
@@ -144,27 +171,23 @@ pub fn install(db: &Database) -> Result<()> {
 
 /// Reads the registered media types.
 pub fn media_types(db: &Database) -> Result<Vec<MediaType>> {
-    let tx = db.begin_read()?;
-    let rows = tx.scan(MASTER_TABLE)?;
-    rows.into_iter()
-        .map(|r| {
-            Ok(MediaType {
-                name: text(&r, 1)?,
-                mime: text(&r, 2)?,
-                access_type: text(&r, 3)?,
-                object_table: text(&r, 4)?,
-                description: text(&r, 5)?,
-            })
-        })
-        .collect()
+    let rows = db.begin_read()?.scan(MASTER_TABLE)?;
+    rows.iter().map(|r| MediaType::from_row(r)).collect()
+}
+
+fn by_name(name: &str) -> RowValue {
+    RowValue::Text(name.to_string())
 }
 
 /// Looks up a media type by name.
 pub fn media_type_by_name(db: &Database, name: &str) -> Result<MediaType> {
-    media_types(db)?
-        .into_iter()
-        .find(|t| t.name == name)
-        .ok_or_else(|| MediaError::Type(format!("unknown media type '{name}'")))
+    let rows = db
+        .begin_read()?
+        .find(MASTER_TABLE, "FLD_NAME", &by_name(name))?;
+    match rows.first() {
+        Some(row) => MediaType::from_row(row),
+        None => Err(MediaError::Type(format!("unknown media type '{name}'"))),
+    }
 }
 
 /// Registers a new media type and creates its object table.
@@ -173,41 +196,19 @@ pub fn media_type_by_name(db: &Database, name: &str) -> Result<MediaType> {
 /// `FLD_DATA` BLOB column is conventional but not enforced.
 pub fn register_type(db: &Database, ty: &MediaType, columns: Vec<Column>) -> Result<()> {
     let mut tx = db.begin()?;
-    if media_types_in(&mut tx)?.iter().any(|t| t.name == ty.name) {
+    if !tx
+        .find(MASTER_TABLE, "FLD_NAME", &by_name(&ty.name))?
+        .is_empty()
+    {
         return Err(MediaError::Type(format!(
             "media type '{}' already registered",
             ty.name
         )));
     }
     tx.create_table(&ty.object_table, Schema::new(columns)?)?;
-    tx.insert(
-        MASTER_TABLE,
-        vec![
-            RowValue::Null,
-            RowValue::Text(ty.name.clone()),
-            RowValue::Text(ty.mime.clone()),
-            RowValue::Text(ty.access_type.clone()),
-            RowValue::Text(ty.object_table.clone()),
-            RowValue::Text(ty.description.clone()),
-        ],
-    )?;
+    tx.insert(MASTER_TABLE, ty.to_row())?;
     tx.commit()?;
     Ok(())
-}
-
-fn media_types_in(tx: &mut rcmo_storage::Transaction<'_>) -> Result<Vec<MediaType>> {
-    let rows = tx.scan(MASTER_TABLE)?;
-    rows.into_iter()
-        .map(|r| {
-            Ok(MediaType {
-                name: text(&r, 1)?,
-                mime: text(&r, 2)?,
-                access_type: text(&r, 3)?,
-                object_table: text(&r, 4)?,
-                description: text(&r, 5)?,
-            })
-        })
-        .collect()
 }
 
 pub(crate) fn text(row: &[RowValue], i: usize) -> Result<String> {

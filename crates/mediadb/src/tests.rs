@@ -254,3 +254,177 @@ fn persistence_of_media_objects() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(rcmo_storage::db::wal_path_for(&path));
 }
+
+// ---------------------------------------------------------------------------
+// Keyed permission lookups
+// ---------------------------------------------------------------------------
+
+/// Page requests (hits and misses alike) one call of `f` makes.
+fn page_requests<T>(db: &MediaDb, f: impl FnOnce() -> T) -> u64 {
+    let before = db.database().pool_stats();
+    f();
+    let after = db.database().pool_stats();
+    (after.hits + after.misses) - (before.hits + before.misses)
+}
+
+fn with_users(n: usize) -> MediaDb {
+    let db = fresh();
+    for i in 0..n {
+        db.put_user("admin", &format!("user-{i}"), AccessLevel::Read)
+            .unwrap();
+    }
+    db
+}
+
+#[test]
+fn permission_check_cost_does_not_grow_with_the_user_base() {
+    let small = with_users(8);
+    let large = with_users(4_096);
+    let few = page_requests(&small, || small.user_level("user-7").unwrap());
+    let many = page_requests(&large, || large.user_level("user-4095").unwrap());
+    // 4 096 entries need a second level in both trees a lookup descends
+    // (the index on NAME, then the primary key): per tree one more node,
+    // which the descent reads twice, plus the range's peek at the sibling
+    // leaf. A scan would read every heap page and leaf of the table.
+    assert!(
+        many <= few + 5,
+        "{few} page requests at 8 users, {many} at 4 096"
+    );
+    let missing = page_requests(&large, || large.user_level("nobody").unwrap());
+    assert!(missing <= many, "{missing} > {many}");
+    assert!(matches!(
+        large.require("user-4095", AccessLevel::Write),
+        Err(MediaError::Denied { .. })
+    ));
+    large.require("user-4095", AccessLevel::Read).unwrap();
+}
+
+#[test]
+fn unknown_level_tag_is_malformed_not_unregistered() {
+    let db = fresh();
+    let mut tx = db.database().begin().unwrap();
+    tx.insert(
+        acl::USERS_TABLE,
+        vec![
+            RowValue::Null,
+            RowValue::Text("from-the-future".into()),
+            RowValue::I64(7),
+        ],
+    )
+    .unwrap();
+    tx.commit().unwrap();
+    for res in [
+        db.user_level("from-the-future").map(drop),
+        db.require("from-the-future", AccessLevel::Read),
+    ] {
+        assert!(matches!(res, Err(MediaError::Malformed(_))), "{res:?}");
+    }
+}
+
+/// A database as a binary from before secondary indexes left it: the same
+/// tables and rows as a fresh one plus `users` accounts, and no index.
+fn pre_index_database(source: rcmo_storage::Source, users: usize) -> Database {
+    let modern = fresh();
+    let rd = modern.database().begin_read().unwrap();
+    let old = Database::open_with(source, rcmo_storage::DbOptions::default()).unwrap();
+    let mut tx = old.begin().unwrap();
+    for table in rd.table_names() {
+        tx.create_table(&table, rd.schema(&table).unwrap()).unwrap();
+        for row in rd.scan(&table).unwrap() {
+            tx.insert(&table, row).unwrap();
+        }
+    }
+    for i in 0..users {
+        let name = RowValue::Text(format!("user-{i}"));
+        tx.insert(
+            acl::USERS_TABLE,
+            vec![RowValue::Null, name, RowValue::I64(0)],
+        )
+        .unwrap();
+    }
+    tx.commit().unwrap();
+    old
+}
+
+#[test]
+fn pre_index_database_gets_its_indexes_on_open() {
+    let old = pre_index_database(rcmo_storage::Source::Memory, 300);
+    for table in [acl::USERS_TABLE, schema::MASTER_TABLE] {
+        assert!(old.begin().unwrap().indexes(table).unwrap().is_empty());
+    }
+    let db = MediaDb::with_database(old).unwrap();
+    let tx = db.database().begin().unwrap();
+    assert_eq!(tx.indexes(acl::USERS_TABLE).unwrap(), ["NAME"]);
+    assert_eq!(tx.indexes(schema::MASTER_TABLE).unwrap(), ["FLD_NAME"]);
+    drop(tx);
+
+    assert_eq!(db.user_level("user-299").unwrap(), Some(AccessLevel::Read));
+    assert_eq!(db.user_level("admin").unwrap(), Some(AccessLevel::Admin));
+    let keyed = page_requests(&db, || db.user_level("user-150").unwrap());
+    let fresh_cost = {
+        let small = with_users(8);
+        page_requests(&small, || small.user_level("user-7").unwrap())
+    };
+    assert_eq!(keyed, fresh_cost, "301 users still fit one-level trees");
+    assert!(db.list_objects("user-0", "Document").unwrap().is_empty());
+    db.put_user("admin", "user-0", AccessLevel::Write).unwrap();
+    assert_eq!(db.user_level("user-0").unwrap(), Some(AccessLevel::Write));
+    let report = db.database().check_integrity();
+    assert!(report.is_ok(), "{report:?}");
+    assert!(report.warnings.is_empty(), "{report:?}");
+}
+
+#[test]
+fn crash_during_index_backfill_leaves_a_valid_pre_index_file() {
+    use rcmo_storage::{failpoint, DbOptions, Source};
+    let dir = std::env::temp_dir().join(format!("rcmo-mdb-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("backfill.db");
+    let reset = || {
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(rcmo_storage::db::wal_path_for(&path));
+    };
+    let upgrade = |arm_append: Option<u64>| {
+        reset();
+        drop(pre_index_database(Source::Path(path.clone()), 300));
+        let db = Database::open_with(Source::Path(path.clone()), DbOptions::eager()).unwrap();
+        failpoint::reset();
+        if let Some(n) = arm_append {
+            failpoint::arm(failpoint::WAL_APPEND, n);
+        }
+        let res = MediaDb::with_database(db).map(drop);
+        let appends = failpoint::hits(failpoint::WAL_APPEND);
+        failpoint::reset();
+        (res, appends)
+    };
+
+    // Two commits upgrade the file — the master table's index, then the
+    // users table's. Lose the in-flight one at every WAL record in turn.
+    let (clean, appends) = upgrade(None);
+    clean.unwrap();
+    let mut master_indexed = 0;
+    for n in 1..=appends {
+        let (res, _) = upgrade(Some(n));
+        assert!(res.is_err(), "armed append {n} must fail the upgrade");
+        let db = Database::open(&path).unwrap();
+        let report = db.check_integrity();
+        assert!(report.is_ok(), "append {n}: {report:?}");
+        let mut tx = db.begin().unwrap();
+        assert!(
+            tx.indexes(acl::USERS_TABLE).unwrap().is_empty(),
+            "append {n}"
+        );
+        master_indexed += tx.indexes(schema::MASTER_TABLE).unwrap().len() as u64;
+        assert_eq!(tx.count(acl::USERS_TABLE).unwrap(), 301, "append {n}");
+        drop(tx);
+        // The next open finishes the job.
+        let db = MediaDb::with_database(db).unwrap();
+        assert_eq!(db.user_level("user-299").unwrap(), Some(AccessLevel::Read));
+        assert!(db.database().check_integrity().is_ok(), "append {n}");
+    }
+    assert!(
+        0 < master_indexed && master_indexed < appends,
+        "the sweep must lose each of the two commits: {master_indexed} of {appends}"
+    );
+    reset();
+}

@@ -11,7 +11,7 @@ use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use rcmo_core::{MultimediaDocument, Presentation};
 use rcmo_imaging::{AnnotatedImage, GrayImage};
-use rcmo_mediadb::{DocumentObject, MediaDb};
+use rcmo_mediadb::{AccessLevel, DocumentObject, MediaDb};
 use rcmo_obs::{bounds, Counter, Gauge, Histogram, Metrics, MetricsSnapshot, Registry};
 use rcmo_obs::{SharedClock, WallClock};
 use std::collections::HashMap;
@@ -403,7 +403,7 @@ impl InteractionServer {
     /// [`crate::error::JoinRejectCause::PresenterSeatTaken`] when the
     /// presenter seat is already held.
     pub fn join(&self, room: RoomId, req: &JoinRequest) -> Result<ClientConnection> {
-        self.db.list_documents(&req.user)?; // cheap read-permission probe
+        self.db.require(&req.user, AccessLevel::Read)?;
         let events = self.with_room(room, |r| r.join(req))?;
         Ok(ClientConnection {
             room,
@@ -468,7 +468,7 @@ impl InteractionServer {
         user: &str,
         last_seen_seq: u64,
     ) -> Result<(ClientConnection, Resync)> {
-        self.db.list_documents(user)?; // cheap read-permission probe
+        self.db.require(user, AccessLevel::Read)?;
         let (events, catch_up, role) = self.with_room(room, |r| {
             let (events, catch_up) = r.resync(user, last_seen_seq)?;
             let role = r.role_of(user).unwrap_or(Role::Moderator);
@@ -800,11 +800,7 @@ impl InteractionServer {
     /// created concurrently with the snapshot may miss the announcement,
     /// exactly as if they had been created just after it.
     pub fn broadcast_announcement(&self, user: &str, text: &str) -> Result<usize> {
-        if self.db.user_level(user)? != Some(rcmo_mediadb::AccessLevel::Admin) {
-            return Err(ServerError::Invalid(format!(
-                "'{user}' is not an administrator"
-            )));
-        }
+        self.db.require(user, AccessLevel::Admin)?;
         self.map_reads.inc();
         let handles: Vec<RoomHandle> = self.rooms.read().values().cloned().collect();
         let mut reached = 0;

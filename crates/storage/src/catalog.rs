@@ -139,7 +139,7 @@ pub enum RowValue {
 }
 
 impl RowValue {
-    fn matches(&self, ty: ColumnType) -> bool {
+    pub(crate) fn matches(&self, ty: ColumnType) -> bool {
         matches!(
             (self, ty),
             (RowValue::Null, _)
@@ -191,6 +191,39 @@ const VAL_TEXT: u8 = 4;
 const VAL_BYTES: u8 = 5;
 const VAL_BLOB: u8 = 6;
 
+/// Appends one value's row encoding: a tag byte, then the payload.
+pub(crate) fn encode_value(v: &RowValue, buf: &mut Vec<u8>) {
+    match v {
+        RowValue::Null => buf.push(VAL_NULL),
+        RowValue::U64(x) => {
+            buf.push(VAL_U64);
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        RowValue::I64(x) => {
+            buf.push(VAL_I64);
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        RowValue::F64(x) => {
+            buf.push(VAL_F64);
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        RowValue::Text(s) => {
+            buf.push(VAL_TEXT);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
+        }
+        RowValue::Bytes(b) => {
+            buf.push(VAL_BYTES);
+            buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
+            buf.extend_from_slice(b);
+        }
+        RowValue::Blob(b) => {
+            buf.push(VAL_BLOB);
+            buf.extend_from_slice(&b.0.to_le_bytes());
+        }
+    }
+}
+
 /// Encodes a row against `schema` (arity and type checked; the primary key
 /// must be a non-null `U64`).
 pub fn encode_row(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
@@ -214,35 +247,7 @@ pub fn encode_row(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
                 v, c.name, c.ty
             )));
         }
-        match v {
-            RowValue::Null => buf.push(VAL_NULL),
-            RowValue::U64(x) => {
-                buf.push(VAL_U64);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            RowValue::I64(x) => {
-                buf.push(VAL_I64);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            RowValue::F64(x) => {
-                buf.push(VAL_F64);
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            RowValue::Text(s) => {
-                buf.push(VAL_TEXT);
-                buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                buf.extend_from_slice(s.as_bytes());
-            }
-            RowValue::Bytes(b) => {
-                buf.push(VAL_BYTES);
-                buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                buf.extend_from_slice(b);
-            }
-            RowValue::Blob(b) => {
-                buf.push(VAL_BLOB);
-                buf.extend_from_slice(&b.0.to_le_bytes());
-            }
-        }
+        encode_value(v, &mut buf);
     }
     Ok(buf)
 }
@@ -354,12 +359,27 @@ pub struct TableInfo {
     pub index_root: PageId,
     /// Next auto-assigned primary key.
     pub next_id: u64,
+    /// Secondary indexes, in creation order.
+    pub indexes: Vec<IndexInfo>,
+}
+
+/// One secondary index of a table (see the [`index`](crate::index) module
+/// for the entry layout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexInfo {
+    /// Position of the indexed column in the schema (never 0, the primary
+    /// key).
+    pub column: usize,
+    /// Root page of the index's B+tree.
+    pub root: PageId,
 }
 
 impl TableInfo {
-    /// Encodes for storage in the catalog heap. The trailing three `u64`
-    /// fields are fixed-size so routine updates (index root moves, id
-    /// counter bumps) rewrite in place.
+    /// Encodes for storage in the catalog heap. Everything after the
+    /// schema is fixed-size for a given set of indexes, so routine updates
+    /// (root moves of any tree, id counter bumps) rewrite in place. A table
+    /// without indexes encodes no index tail at all — byte for byte the
+    /// format-version-1 record.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
@@ -373,6 +393,13 @@ impl TableInfo {
         buf.extend_from_slice(&self.heap_root.0.to_le_bytes());
         buf.extend_from_slice(&self.index_root.0.to_le_bytes());
         buf.extend_from_slice(&self.next_id.to_le_bytes());
+        if !self.indexes.is_empty() {
+            buf.extend_from_slice(&(self.indexes.len() as u16).to_le_bytes());
+            for ix in &self.indexes {
+                buf.extend_from_slice(&(ix.column as u16).to_le_bytes());
+                buf.extend_from_slice(&ix.root.0.to_le_bytes());
+            }
+        }
         buf
     }
 
@@ -395,6 +422,21 @@ impl TableInfo {
         let heap_root = PageId(cur.u64()?);
         let index_root = PageId(cur.u64()?);
         let next_id = cur.u64()?;
+        // A record that ends here predates secondary indexes.
+        let nindexes = if cur.done() { 0 } else { cur.u16()? };
+        let mut indexes = Vec::with_capacity(nindexes as usize);
+        for _ in 0..nindexes {
+            let column = cur.u16()? as usize;
+            if column == 0 || column >= ncols {
+                return Err(StorageError::Catalog(format!(
+                    "table '{name}' indexes column {column} of {ncols}"
+                )));
+            }
+            indexes.push(IndexInfo {
+                column,
+                root: PageId(cur.u64()?),
+            });
+        }
         if !cur.done() {
             return Err(StorageError::Catalog(
                 "trailing bytes in catalog record".to_string(),
@@ -406,6 +448,7 @@ impl TableInfo {
             heap_root,
             index_root,
             next_id,
+            indexes,
         })
     }
 }
@@ -537,6 +580,10 @@ mod tests {
             heap_root: PageId(5),
             index_root: PageId(9),
             next_id: 17,
+            indexes: vec![IndexInfo {
+                column: 1,
+                root: PageId(11),
+            }],
         };
         let bytes = info.encode();
         assert_eq!(TableInfo::decode(&bytes).unwrap(), info);
@@ -544,7 +591,41 @@ mod tests {
         let mut bumped = info.clone();
         bumped.next_id = 99_999;
         bumped.index_root = PageId(12345);
+        bumped.indexes[0].root = PageId(67_890);
         assert_eq!(bumped.encode().len(), bytes.len());
+    }
+
+    #[test]
+    fn record_without_index_tail_is_the_v1_record() {
+        // Format version 1, written out by hand: name, one column, three u64s.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.extend_from_slice(b"T");
+        v1.extend_from_slice(&2u16.to_le_bytes());
+        for (name, tag) in [("ID", 0u8), ("NAME", 3)] {
+            v1.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            v1.extend_from_slice(name.as_bytes());
+            v1.push(tag);
+        }
+        for n in [5u64, 9, 17] {
+            v1.extend_from_slice(&n.to_le_bytes());
+        }
+        let info = TableInfo::decode(&v1).unwrap();
+        assert!(info.indexes.is_empty());
+        assert_eq!(
+            (info.heap_root, info.index_root, info.next_id),
+            (PageId(5), PageId(9), 17)
+        );
+        assert_eq!(info.encode(), v1, "un-indexed tables still write v1 bytes");
+
+        // The tail may only name a real, non-key column.
+        for bad_column in [0u16, 2] {
+            let mut bad = v1.clone();
+            bad.extend_from_slice(&1u16.to_le_bytes());
+            bad.extend_from_slice(&bad_column.to_le_bytes());
+            bad.extend_from_slice(&11u64.to_le_bytes());
+            assert!(TableInfo::decode(&bad).is_err(), "column {bad_column}");
+        }
     }
 
     #[test]

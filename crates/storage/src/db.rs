@@ -40,6 +40,13 @@
 //! page request of either kind is counted in the database's one paging
 //! registry ([`Database::pool_stats`]).
 //!
+//! A row is reached by primary key (`get`, `range`, `scan`) or, for a
+//! column that carries a secondary index
+//! ([`Transaction::create_index`]), by value: `find(table, column,
+//! &value)` on either transaction kind costs the matching rows, not the
+//! table. The engine keeps the index current inside the row's own
+//! transaction; the [`index`] module documents the entry layout.
+//!
 //! # Commit pipeline
 //!
 //! A [`Transaction`] holds the database's writer mutex, making the
@@ -67,10 +74,13 @@
 use crate::backend::Backend;
 use crate::blob::{BlobId, BlobStore};
 use crate::btree::BTree;
-use crate::catalog::{decode_row, encode_row, CatalogEntry, RowValue as RV, Schema, TableInfo};
+use crate::catalog::{
+    decode_row, encode_row, CatalogEntry, IndexInfo, RowValue as RV, Schema, TableInfo,
+};
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
 use crate::heap::{Heap, RecordId};
+use crate::index;
 use crate::page::{Page, PageId, PageKind};
 use crate::pager::{BufferPool, PageRead, PoolStats, ReadLayer};
 use crate::snapshot::{CommittedState, SnapshotReader, SnapshotRegistry};
@@ -87,7 +97,13 @@ pub use crate::catalog::RowValue;
 pub(crate) const META_MAGIC_OFF: usize = 0;
 pub(crate) const META_CATALOG_ROOT: usize = 16;
 pub(crate) const META_NEXT_TXN: usize = 24;
-pub(crate) const META_MAGIC: u64 = 0x5243_4D4F_4442_3101; // "RCMODB1" + version 1
+/// "RCMODB1" + format version 2: tables may carry secondary indexes.
+pub(crate) const META_MAGIC: u64 = 0x5243_4D4F_4442_3102;
+/// Format version 1 — no secondary indexes. Still opened, and still
+/// written un-indexed; [`Transaction::create_index`] restamps the file as
+/// version 2, which a version-1 binary (which would not maintain the
+/// index) refuses to open.
+pub(crate) const META_MAGIC_V1: u64 = 0x5243_4D4F_4442_3101;
 
 /// Default page-cache capacity in frames (2048 × 8 KiB = 16 MiB).
 pub const DEFAULT_CACHE_FRAMES: usize = 2048;
@@ -372,7 +388,7 @@ impl Database {
             let magic = inner
                 .pool
                 .with_page(PageId::META, |p| p.get_u64(META_MAGIC_OFF))?;
-            if magic != META_MAGIC {
+            if magic != META_MAGIC && magic != META_MAGIC_V1 {
                 return Err(StorageError::BadHeader(format!(
                     "meta magic {magic:#x} != {META_MAGIC:#x}"
                 )));
@@ -649,6 +665,12 @@ fn schema(catalog: &HashMap<String, CatalogEntry>, table: &str) -> Result<Schema
     Ok(entry(catalog, table)?.info.schema.clone())
 }
 
+fn column_index(info: &TableInfo, column: &str) -> Result<usize> {
+    info.schema.column_index(column).ok_or_else(|| {
+        StorageError::Catalog(format!("table '{}' has no column '{column}'", info.name))
+    })
+}
+
 /// Every row and BLOB read, defined once over a page source and the
 /// catalog that goes with it: the writer's pool with its uncommitted
 /// catalog, or a committed snapshot with its frozen one.
@@ -684,6 +706,49 @@ impl<P: PageRead> Reads<'_, P> {
 
     fn count(&mut self, table: &str) -> Result<usize> {
         BTree::open(entry(self.catalog, table)?.info.index_root).len(&mut self.pages)
+    }
+
+    /// Rows whose `column` equals `value`, in primary-key order, through
+    /// the column's secondary index: one range over the value's hash
+    /// bucket, then one primary-key fetch per candidate. The bucket only
+    /// nominates rows — colliding values land in it too — so each
+    /// candidate's stored value is compared before it is returned.
+    fn find(&mut self, table: &str, column: &str, value: &RV) -> Result<Vec<Vec<RV>>> {
+        static LAT: rcmo_obs::LazyHistogram =
+            rcmo_obs::LazyHistogram::new("storage.index.find.us", rcmo_obs::bounds::LATENCY_US);
+        static CANDIDATES: rcmo_obs::LazyCounter =
+            rcmo_obs::LazyCounter::new("storage.index.candidates");
+        static ROWS: rcmo_obs::LazyCounter = rcmo_obs::LazyCounter::new("storage.index.rows");
+        let _t = LAT.start_timer();
+        let info = &entry(self.catalog, table)?.info;
+        let col = column_index(info, column)?;
+        let ix = (info.indexes.iter().find(|ix| ix.column == col))
+            .ok_or_else(|| StorageError::Catalog(format!("no index on {table}.{column}")))?;
+        let ty = info.schema.columns()[col].ty;
+        if !value.matches(ty) {
+            return Err(StorageError::Catalog(format!(
+                "value {value:?} does not match column '{column}' of type {ty:?}"
+            )));
+        }
+        let mut pks: Vec<u64> = index::candidates(&mut self.pages, ix.root, value)?
+            .into_iter()
+            .map(|(_, pk)| pk)
+            .collect();
+        CANDIDATES.add(pks.len() as u64);
+        pks.sort_unstable();
+        let mut rows = Vec::new();
+        for pk in pks {
+            let row = self.get(table, pk)?.ok_or_else(|| {
+                StorageError::Internal(format!(
+                    "index on {table}.{column} points at missing row {pk}"
+                ))
+            })?;
+            if row[col] == *value {
+                rows.push(row);
+            }
+        }
+        ROWS.add(rows.len() as u64);
+        Ok(rows)
     }
 
     fn get_blob(&mut self, id: BlobId) -> Result<Vec<u8>> {
@@ -753,6 +818,7 @@ impl<'db> Transaction<'db> {
             heap_root: heap.first_page(),
             index_root: index.root(),
             next_id: 1,
+            indexes: Vec::new(),
         };
         let mut cat_heap = Heap::open(catalog_root(&mut self.inner)?);
         let record = cat_heap.insert(&mut self.inner.pool, &info.encode())?;
@@ -767,12 +833,70 @@ impl<'db> Transaction<'db> {
         Ok(())
     }
 
+    /// Declares a secondary index on `column` of `table` and fills it from
+    /// the rows already there. From then on every insert, update and delete
+    /// keeps it current inside the same transaction as the row, and
+    /// [`find`](Self::find) answers lookups by that column without a scan.
+    /// Values need not be unique. Stamps the file as format version 2.
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
+        let mut entry = self.entry(table)?;
+        let col = column_index(&entry.info, column)?;
+        if col == 0 || entry.info.indexes.iter().any(|ix| ix.column == col) {
+            return Err(StorageError::Catalog(format!(
+                "{table}.{column} is already indexed"
+            )));
+        }
+        let mut ix = IndexInfo {
+            column: col,
+            root: BTree::create(&mut self.inner.pool)?.root(),
+        };
+        for row in self.scan(table)? {
+            let key = self.free_index_key(&entry.info, &ix, &row[col])?;
+            self.add_index_entry(&mut ix, key, row[0].as_u64()?)?;
+        }
+        entry.info.indexes.push(ix);
+        self.inner
+            .pool
+            .with_page_mut(PageId::META, |p| p.put_u64(META_MAGIC_OFF, META_MAGIC))?;
+        self.save_entry(&entry)
+    }
+
+    /// Names of the columns of `table` that carry a secondary index.
+    pub fn indexes(&self, table: &str) -> Result<Vec<String>> {
+        let info = &entry(&self.inner.catalog, table)?.info;
+        Ok((info.indexes.iter())
+            .map(|ix| info.schema.columns()[ix.column].name.clone())
+            .collect())
+    }
+
+    /// The key a new entry for `value` would take in `ix`. Asked before a
+    /// row operation touches any page, so that a full bucket fails the
+    /// operation with nothing to undo.
+    fn free_index_key(&mut self, info: &TableInfo, ix: &IndexInfo, value: &RV) -> Result<u64> {
+        index::free_key(&mut self.inner.pool, ix.root, value)?.ok_or_else(|| {
+            StorageError::IndexBucketFull {
+                table: info.name.clone(),
+                column: info.schema.columns()[ix.column].name.clone(),
+            }
+        })
+    }
+
+    fn add_index_entry(&mut self, ix: &mut IndexInfo, key: u64, pk: u64) -> Result<()> {
+        let mut tree = BTree::open(ix.root);
+        tree.insert(&mut self.inner.pool, key, pk)?;
+        ix.root = tree.root();
+        Ok(())
+    }
+
     /// Drops a table, freeing its heap and index pages. BLOBs referenced by
     /// its rows are *not* freed automatically (callers own blob lifecycle).
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let entry = self.entry(name)?;
         Heap::open(entry.info.heap_root).destroy(&mut self.inner.pool)?;
         BTree::open(entry.info.index_root).destroy(&mut self.inner.pool)?;
+        for ix in &entry.info.indexes {
+            BTree::open(ix.root).destroy(&mut self.inner.pool)?;
+        }
         let cat_heap = Heap::open(catalog_root(&mut self.inner)?);
         cat_heap.delete(&mut self.inner.pool, entry.record)?;
         self.inner.catalog.remove(name);
@@ -811,6 +935,10 @@ impl<'db> Transaction<'db> {
             }
         };
         let bytes = encode_row(&entry.info.schema, &values)?;
+        let mut keys = Vec::with_capacity(entry.info.indexes.len());
+        for ix in &entry.info.indexes {
+            keys.push(self.free_index_key(&entry.info, ix, &values[ix.column])?);
+        }
         let mut heap = Heap::open(entry.info.heap_root);
         if let Some(hint) = entry.hint {
             heap.set_insert_hint(hint);
@@ -822,6 +950,9 @@ impl<'db> Transaction<'db> {
             return Err(e);
         }
         entry.info.index_root = index.root();
+        for (ix, key) in entry.info.indexes.iter_mut().zip(keys) {
+            self.add_index_entry(ix, key, id)?;
+        }
         entry.info.next_id = entry.info.next_id.max(id + 1);
         entry.hint = Some(heap.insert_hint());
         self.save_entry(&entry)?;
@@ -854,10 +985,33 @@ impl<'db> Transaction<'db> {
             .ok_or(StorageError::KeyNotFound(id))?;
         let mut heap = Heap::open(entry.info.heap_root);
         let old_rid = RecordId::unpack(packed);
+        // An index entry moves only when its column's value changed.
+        let old = if entry.info.indexes.is_empty() {
+            Vec::new()
+        } else {
+            self.reads().row(&entry.info, packed)?
+        };
+        let mut moves = Vec::new();
+        for (i, ix) in entry.info.indexes.iter().enumerate() {
+            if old[ix.column] != values[ix.column] {
+                let key = self.free_index_key(&entry.info, ix, &values[ix.column])?;
+                moves.push((i, key));
+            }
+        }
         let new_rid = heap.update(&mut self.inner.pool, old_rid, &bytes)?;
-        if new_rid != old_rid {
+        let mut roots_moved = new_rid != old_rid;
+        if roots_moved {
             index.put(&mut self.inner.pool, id, new_rid.pack())?;
             entry.info.index_root = index.root();
+        }
+        for (i, key) in moves {
+            let mut ix = entry.info.indexes[i];
+            index::remove(&mut self.inner.pool, ix.root, &old[ix.column], id)?;
+            self.add_index_entry(&mut ix, key, id)?;
+            roots_moved |= ix.root != entry.info.indexes[i].root;
+            entry.info.indexes[i] = ix;
+        }
+        if roots_moved {
             self.save_entry(&entry)?;
         }
         Ok(())
@@ -872,7 +1026,11 @@ impl<'db> Transaction<'db> {
         let rid = RecordId::unpack(packed);
         let bytes = heap.get(&mut self.inner.pool, rid)?;
         heap.delete(&mut self.inner.pool, rid)?;
-        decode_row(&entry.info.schema, &bytes)
+        let row = decode_row(&entry.info.schema, &bytes)?;
+        for ix in &entry.info.indexes {
+            index::remove(&mut self.inner.pool, ix.root, &row[ix.column], id)?;
+        }
+        Ok(row)
     }
 
     /// All rows, in primary-key order.
@@ -888,6 +1046,13 @@ impl<'db> Transaction<'db> {
     /// Number of rows in a table.
     pub fn count(&mut self, table: &str) -> Result<usize> {
         self.reads().count(table)
+    }
+
+    /// Rows whose `column` equals `value`, in primary-key order. The column
+    /// must carry a secondary index ([`create_index`](Self::create_index));
+    /// the cost is that of the matching rows, not of the table.
+    pub fn find(&mut self, table: &str, column: &str, value: &RV) -> Result<Vec<Vec<RV>>> {
+        self.reads().find(table, column, value)
     }
 
     /// Stores a BLOB, returning its id.
@@ -1114,6 +1279,12 @@ impl<'db> ReadTransaction<'db> {
     /// Number of rows in a table.
     pub fn count(&self, table: &str) -> Result<usize> {
         self.reads().count(table)
+    }
+
+    /// Rows whose `column` equals `value`, in primary-key order, through
+    /// the column's secondary index (see [`Transaction::find`]).
+    pub fn find(&self, table: &str, column: &str, value: &RV) -> Result<Vec<Vec<RV>>> {
+        self.reads().find(table, column, value)
     }
 
     /// Reads a whole BLOB.

@@ -942,3 +942,236 @@ fn snapshot_reads_of_the_committed_overlay_count_as_hits() {
     assert!(after.hits > before.hits, "{before:?} -> {after:?}");
     assert_eq!(after.misses, before.misses, "{before:?} -> {after:?}");
 }
+
+// ---------------------------------------------------------------------------
+// Secondary indexes
+// ---------------------------------------------------------------------------
+
+fn name(s: &str) -> RowValue {
+    RowValue::Text(s.into())
+}
+
+/// Primary keys of the rows `find` returns for `FLD_NAME = value`.
+fn found(tx: &mut Transaction<'_>, value: &RowValue) -> Vec<u64> {
+    let rows = tx.find("T", "FLD_NAME", value).unwrap();
+    rows.iter().map(|r| r[0].as_u64().unwrap()).collect()
+}
+
+fn indexed_table(db: &Database) {
+    let mut tx = db.begin().unwrap();
+    tx.create_table("T", media_schema()).unwrap();
+    tx.create_index("T", "FLD_NAME").unwrap();
+    tx.commit().unwrap();
+}
+
+#[test]
+fn find_follows_every_row_operation() {
+    let db = Database::in_memory().unwrap();
+    indexed_table(&db);
+    let mut tx = db.begin().unwrap();
+    for (id, n) in [(1, "a"), (2, "b"), (3, "a")] {
+        tx.insert("T", text_row(id, n)).unwrap();
+    }
+    let mut null_name = text_row(4, "");
+    null_name[1] = RowValue::Null;
+    tx.insert("T", null_name).unwrap();
+    assert_eq!(found(&mut tx, &name("a")), [1, 3]);
+    assert_eq!(found(&mut tx, &name("b")), [2]);
+    assert_eq!(found(&mut tx, &RowValue::Null), [4]);
+    assert!(found(&mut tx, &name("c")).is_empty());
+
+    // An update moves the entry only when the indexed value changed.
+    tx.update("T", 1, text_row(1, "b")).unwrap();
+    let mut same_name = text_row(3, "a");
+    same_name[2] = name("image/ct");
+    tx.update("T", 3, same_name.clone()).unwrap();
+    assert_eq!(found(&mut tx, &name("a")), [3]);
+    assert_eq!(found(&mut tx, &name("b")), [1, 2]);
+    assert_eq!(tx.find("T", "FLD_NAME", &name("a")).unwrap(), [same_name]);
+
+    tx.delete("T", 2).unwrap();
+    assert_eq!(found(&mut tx, &name("b")), [1]);
+    tx.commit().unwrap();
+
+    // Snapshots answer from their own version; a rollback leaves no trace.
+    let before = db.begin_read().unwrap();
+    let mut tx = db.begin().unwrap();
+    tx.insert("T", text_row(9, "a")).unwrap();
+    tx.delete("T", 1).unwrap();
+    assert_eq!(found(&mut tx, &name("a")), [3, 9]);
+    tx.rollback();
+    let mut tx = db.begin().unwrap();
+    assert_eq!(found(&mut tx, &name("a")), [3]);
+    tx.insert("T", text_row(9, "a")).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(before.find("T", "FLD_NAME", &name("a")).unwrap().len(), 1);
+    let after = db.begin_read().unwrap();
+    assert_eq!(after.find("T", "FLD_NAME", &name("a")).unwrap().len(), 2);
+    drop((before, after));
+    let report = db.check_integrity();
+    assert!(report.is_ok(), "{report:?}");
+}
+
+#[test]
+fn find_needs_an_index_and_a_value_of_the_column_type() {
+    let db = Database::in_memory().unwrap();
+    indexed_table(&db);
+    let mut tx = db.begin().unwrap();
+    for (column, value) in [
+        ("FLD_MIME", name("x")),        // not indexed
+        ("NOPE", name("x")),            // no such column
+        ("FLD_NAME", RowValue::I64(1)), // wrong type
+    ] {
+        let err = tx.find("T", column, &value).unwrap_err();
+        assert!(matches!(err, StorageError::Catalog(_)), "{column}: {err}");
+    }
+    // The primary key and an indexed column cannot be indexed again.
+    assert!(tx.create_index("T", "ID").is_err());
+    assert!(tx.create_index("T", "FLD_NAME").is_err());
+    assert!(tx.create_index("T", "NOPE").is_err());
+    assert_eq!(tx.indexes("T").unwrap(), ["FLD_NAME"]);
+}
+
+#[test]
+fn create_index_backfills_and_survives_reopen() {
+    let path = tmp_path("index-backfill");
+    {
+        let db = Database::open(&path).unwrap();
+        let mut tx = db.begin().unwrap();
+        tx.create_table("T", media_schema()).unwrap();
+        // 1 200 rows over 400 names: three-row buckets and split leaves.
+        for id in 1..=1_200u64 {
+            tx.insert("T", text_row(id, &format!("n{}", id % 400)))
+                .unwrap();
+        }
+        tx.commit().unwrap();
+        let mut tx = db.begin().unwrap();
+        assert!(tx.indexes("T").unwrap().is_empty());
+        tx.create_index("T", "FLD_NAME").unwrap();
+        assert_eq!(found(&mut tx, &name("n7")), [7, 407, 807]);
+        tx.commit().unwrap();
+    }
+    let db = Database::open(&path).unwrap();
+    let mut tx = db.begin().unwrap();
+    assert_eq!(tx.indexes("T").unwrap(), ["FLD_NAME"]);
+    assert_eq!(found(&mut tx, &name("n0")), [400, 800, 1_200]);
+    tx.insert("T", text_row(2_000, "n0")).unwrap();
+    tx.commit().unwrap();
+    let report = db.check_integrity();
+    assert!(report.is_ok(), "{report:?}");
+    assert!(report.warnings.is_empty(), "{report:?}");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(wal_path_for(&path));
+}
+
+#[test]
+fn dropping_an_indexed_table_frees_the_index_pages() {
+    let db = Database::in_memory().unwrap();
+    indexed_table(&db);
+    let mut tx = db.begin().unwrap();
+    for id in 1..=1_200u64 {
+        tx.insert("T", text_row(id, &format!("n{id}"))).unwrap();
+    }
+    tx.commit().unwrap();
+    let mut tx = db.begin().unwrap();
+    tx.drop_table("T").unwrap();
+    tx.commit().unwrap();
+    let report = db.check_integrity();
+    assert!(report.is_ok(), "{report:?}");
+    // No BLOBs were stored, so nothing may be left unreachable.
+    assert!(report.warnings.is_empty(), "{report:?}");
+}
+
+fn meta_magic(db: &Database) -> u64 {
+    let mut inner = db.writer.lock();
+    inner
+        .pool
+        .with_page(PageId::META, |p| p.get_u64(META_MAGIC_OFF))
+        .unwrap()
+}
+
+#[test]
+fn version_1_file_opens_and_its_first_index_restamps_it() {
+    let path = tmp_path("v1-file");
+    {
+        // An un-indexed table's catalog record is the version-1 record, so
+        // stamping the old magic over a fresh file yields a version-1 file.
+        let db = Database::open(&path).unwrap();
+        let mut tx = db.begin().unwrap();
+        tx.create_table("T", media_schema()).unwrap();
+        for id in 1..=300u64 {
+            tx.insert("T", text_row(id, &format!("n{id}"))).unwrap();
+        }
+        tx.inner
+            .pool
+            .with_page_mut(PageId::META, |p| p.put_u64(META_MAGIC_OFF, META_MAGIC_V1))
+            .unwrap();
+        tx.commit().unwrap();
+    }
+    {
+        let db = Database::open(&path).expect("version 1 still opens");
+        assert_eq!(meta_magic(&db), META_MAGIC_V1);
+        // Plain row traffic leaves the version alone...
+        let mut tx = db.begin().unwrap();
+        tx.insert("T", text_row(301, "n301")).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(meta_magic(&db), META_MAGIC_V1);
+        assert!(db.check_integrity().is_ok());
+        // ...a rolled-back index too...
+        let mut tx = db.begin().unwrap();
+        tx.create_index("T", "FLD_NAME").unwrap();
+        tx.rollback();
+        assert_eq!(meta_magic(&db), META_MAGIC_V1);
+        // ...a committed one makes the file version 2, which the version-1
+        // magic check (`magic != META_MAGIC`) turns away.
+        let mut tx = db.begin().unwrap();
+        tx.create_index("T", "FLD_NAME").unwrap();
+        tx.commit().unwrap();
+        assert_eq!(meta_magic(&db), META_MAGIC);
+    }
+    let db = Database::open(&path).unwrap();
+    let mut tx = db.begin().unwrap();
+    assert_eq!(found(&mut tx, &name("n301")), [301]);
+    drop(tx);
+    let report = db.check_integrity();
+    assert!(report.is_ok(), "{report:?}");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(wal_path_for(&path));
+}
+
+#[test]
+fn integrity_walk_catches_an_index_that_disagrees_with_its_rows() {
+    let db = Database::in_memory().unwrap();
+    indexed_table(&db);
+    let mut tx = db.begin().unwrap();
+    for (id, n) in [(1, "a"), (2, "b"), (3, "c")] {
+        tx.insert("T", text_row(id, n)).unwrap();
+    }
+    tx.commit().unwrap();
+    assert!(db.check_integrity().is_ok());
+
+    // Behind the engine's back: drop row 1's entry, and file a second entry
+    // for row 2 under a value it does not hold.
+    let mut tx = db.begin().unwrap();
+    let root = tx.entry("T").unwrap().info.indexes[0].root;
+    index::remove(&mut tx.inner.pool, root, &name("a"), 1).unwrap();
+    let stray = index::free_key(&mut tx.inner.pool, root, &name("zzz"))
+        .unwrap()
+        .unwrap();
+    BTree::open(root)
+        .insert(&mut tx.inner.pool, stray, 2)
+        .unwrap();
+    tx.commit().unwrap();
+    let report = db.check_integrity();
+    let errors = report.errors.join("\n");
+    assert!(errors.contains("row 1 has no entry"), "{errors}");
+    assert!(
+        errors.contains("files row 2 outside its bucket"),
+        "{errors}"
+    );
+    assert!(
+        errors.contains("points at row 2, which is gone or already filed"),
+        "{errors}"
+    );
+    assert_eq!(report.errors.len(), 3, "{errors}");
+}

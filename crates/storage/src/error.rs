@@ -42,6 +42,15 @@ pub enum StorageError {
     KeyNotFound(u64),
     /// A BLOB id did not resolve to a live BLOB.
     BlobNotFound(u64),
+    /// A secondary index cannot file one more row under a value: all 65 536
+    /// slots of the value's hash bucket are taken (that many rows share
+    /// the value, or collide with it).
+    IndexBucketFull {
+        /// The indexed table.
+        table: String,
+        /// The indexed column.
+        column: String,
+    },
     /// Generic invariant violation — indicates an engine bug.
     Internal(String),
     /// The database is poisoned: a commit became visible to readers but its
@@ -83,6 +92,9 @@ impl fmt::Display for StorageError {
             StorageError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             StorageError::KeyNotFound(k) => write!(f, "key {k} not found"),
             StorageError::BlobNotFound(b) => write!(f, "blob {b} not found"),
+            StorageError::IndexBucketFull { table, column } => {
+                write!(f, "index on {table}.{column}: hash bucket full")
+            }
             StorageError::Internal(m) => write!(f, "internal error: {m}"),
             StorageError::Poisoned(m) => write!(f, "database poisoned: {m}"),
             StorageError::CheckpointAfterCommit(m) => write!(

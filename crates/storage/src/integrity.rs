@@ -13,6 +13,9 @@
 //! * every index entry resolves to a live heap record that decodes under
 //!   the table schema with a matching primary key, and every live heap
 //!   record is referenced by the index (no orphans),
+//! * every secondary index is a well-formed B+tree of its own that files
+//!   each row exactly once, in the bucket its column value hashes to, and
+//!   holds no entry for a row that is gone,
 //! * every `Blob` value reaches an intact chunk chain whose lengths sum to
 //!   the recorded total,
 //! * no page is claimed by two different structures.
@@ -26,8 +29,9 @@
 use crate::blob;
 use crate::btree;
 use crate::catalog::{ColumnType, RowValue};
-use crate::db::{Database, Reads, META_CATALOG_ROOT, META_MAGIC, META_MAGIC_OFF};
+use crate::db::{Database, Reads, META_CATALOG_ROOT, META_MAGIC, META_MAGIC_OFF, META_MAGIC_V1};
 use crate::heap::{self, RecordId};
+use crate::index;
 use crate::page::{PageId, PageKind};
 use crate::pager::{PageRead, META_FREE_HEAD};
 use crate::snapshot::SnapshotReader;
@@ -137,7 +141,8 @@ fn check(r: &mut Reads<'_, SnapshotReader<'_>>) -> IntegrityReport {
             if kind != PageKind::Meta {
                 rep.errors.push(format!("meta page has kind {kind:?}"));
             }
-            if magic != META_MAGIC {
+            let indexed = r.catalog.values().any(|e| !e.info.indexes.is_empty());
+            if magic != META_MAGIC && (magic != META_MAGIC_V1 || indexed) {
                 rep.errors
                     .push(format!("meta magic {magic:#x} != {META_MAGIC:#x}"));
             }
@@ -180,8 +185,9 @@ fn check(r: &mut Reads<'_, SnapshotReader<'_>>) -> IntegrityReport {
             &mut claims,
             &mut rep,
         );
-        let pairs = walk_btree(&mut r.pages, info, &mut claims, &mut rep);
-        check_rows(
+        let what = format!("table {} index", info.name);
+        let pairs = walk_btree(&mut r.pages, info.index_root, &what, &mut claims, &mut rep);
+        let filed = check_rows(
             r,
             info,
             &live,
@@ -191,6 +197,33 @@ fn check(r: &mut Reads<'_, SnapshotReader<'_>>) -> IntegrityReport {
             &mut rep,
         );
         rep.rows += pairs.len() as u64;
+
+        // Secondary indexes, both directions: every entry must be the one
+        // entry of a live row and sit in that row's bucket; every row must
+        // have been met.
+        for (ix, mut unmet) in info.indexes.iter().zip(filed) {
+            let what = format!(
+                "table {} index on {}",
+                info.name,
+                info.schema.columns()[ix.column].name
+            );
+            for (key, pk) in walk_btree(&mut r.pages, ix.root, &what, &mut claims, &mut rep) {
+                match unmet.remove(&pk) {
+                    Some(bucket) if bucket == key & !index::SLOT_MASK => {}
+                    Some(bucket) => rep.errors.push(format!(
+                        "{what}: entry {key:#x} files row {pk} outside its bucket {bucket:#x}"
+                    )),
+                    None => rep.errors.push(format!(
+                        "{what}: entry {key:#x} points at row {pk}, which is gone or already filed"
+                    )),
+                }
+            }
+            let mut unmet: Vec<_> = unmet.into_keys().collect();
+            unmet.sort_unstable();
+            for pk in unmet {
+                rep.errors.push(format!("{what}: row {pk} has no entry"));
+            }
+        }
     }
 
     // Anything not claimed by now is unreachable. `drop_table` leaks blob
@@ -284,23 +317,23 @@ fn walk_heap_chain(
     live
 }
 
-/// Claims and structurally verifies a table's B+tree. Returns the in-order
-/// `(key, value)` pairs.
+/// Claims and structurally verifies the B+tree rooted at `root`. Returns
+/// the in-order `(key, value)` pairs.
 fn walk_btree(
     pages: &mut impl PageRead,
-    info: &crate::catalog::TableInfo,
+    root: PageId,
+    what: &str,
     claims: &mut Claims,
     rep: &mut IntegrityReport,
 ) -> Vec<(u64, u64)> {
-    let what = format!("table {} index", info.name);
     let mut pairs = Vec::new();
     let mut leaves = Vec::new();
     let mut leaf_depth: Option<usize> = None;
     walk_btree_node(
         pages,
-        info.index_root,
+        root,
         0,
-        &what,
+        what,
         claims,
         rep,
         &mut pairs,
@@ -443,7 +476,9 @@ fn walk_btree_node(
 }
 
 /// Resolves every index entry to its heap record, decodes it under the
-/// schema, chases blob values, and flags orphan heap records.
+/// schema, chases blob values, and flags orphan heap records. Returns, per
+/// secondary index of the table, where each readable row belongs:
+/// primary key → bucket of its column value.
 #[allow(clippy::too_many_arguments)]
 fn check_rows(
     r: &mut Reads<'_, impl PageRead>,
@@ -453,8 +488,9 @@ fn check_rows(
     seen_blobs: &mut HashSet<u64>,
     claims: &mut Claims,
     rep: &mut IntegrityReport,
-) {
+) -> Vec<HashMap<u64, u64>> {
     let what = format!("table {}", info.name);
+    let mut filed = vec![HashMap::new(); info.indexes.len()];
     let mut referenced: HashSet<u64> = HashSet::new();
     for &(key, packed) in pairs {
         if !live.contains(&packed) {
@@ -479,6 +515,9 @@ fn check_rows(
                 row.first()
             ));
         }
+        for (ix, filed) in info.indexes.iter().zip(&mut filed) {
+            filed.insert(key, index::bucket(&row[ix.column]));
+        }
         for (col, value) in info.schema.columns().iter().zip(&row) {
             if col.ty == ColumnType::Blob {
                 if let RowValue::Blob(id) = value {
@@ -495,6 +534,7 @@ fn check_rows(
             RecordId::unpack(orphan)
         ));
     }
+    filed
 }
 
 fn walk_blob(

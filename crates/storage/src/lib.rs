@@ -12,7 +12,9 @@
 //! * a redo-only [write-ahead log](wal) with group commit and crash
 //!   recovery,
 //! * [slotted-page heap files](heap) for records,
-//! * a [B+tree](btree) index for `u64 → u64` mappings (primary keys),
+//! * a [B+tree](btree) index for `u64 → u64` mappings: one per table for
+//!   its primary keys, one more per indexed column (hashed secondary
+//!   indexes, answered by `find`),
 //! * a [chunked BLOB store](blob) for multimedia payloads of up to 4 GiB
 //!   (the paper's Oracle BLOB limit), and
 //! * a [catalog] + [database facade](db) with typed tables, single-writer
@@ -66,6 +68,7 @@ pub mod disk;
 pub mod error;
 pub mod failpoint;
 pub mod heap;
+pub mod index;
 pub mod integrity;
 pub mod page;
 pub mod pager;

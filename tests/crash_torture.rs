@@ -21,7 +21,7 @@ use rcmo::mediadb::{AccessLevel, ImageObject, MediaDb};
 use rcmo::storage::db::wal_path_for;
 use rcmo::storage::{
     failpoint, Backend, Column, ColumnType, CrashSpec, Database, DbOptions, FaultInjector,
-    MemBackend, RowValue, Schema, SimStore, Source, StorageError,
+    MemBackend, RowValue, Schema, SimStore, Source, StorageError, Transaction,
 };
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -98,7 +98,7 @@ enum Op {
 }
 
 /// One transaction's worth of operations. The first plan additionally
-/// creates the table.
+/// creates the table and its index.
 struct TxnPlan {
     ops: Vec<Op>,
 }
@@ -111,6 +111,24 @@ fn d_bytes(id: u64, v: i64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The indexed column: a pure function of `v`, so every update that changes
+/// `v` moves the row's index entry. Fifty values keep buckets several rows
+/// deep; every tenth `v` stores NULL.
+fn tag(v: i64) -> Option<String> {
+    (v % 10 != 0).then(|| format!("t{}", v.rem_euclid(50)))
+}
+
+fn tag_value(v: i64) -> RowValue {
+    tag(v).map_or(RowValue::Null, RowValue::Text)
+}
+
+/// Rows the creating transaction inserts: exactly one full B+tree leaf
+/// (`btree::LEAF_CAP`) in the primary-key tree and in the index. The next
+/// transaction opens with an insert, which splits both roots, so every
+/// crash site of that commit is crossed with the catalog's root pointers
+/// moving.
+const SEED_ROWS: u64 = 500;
+
 fn blob_bytes(id: u64, v: i64, len: usize) -> Vec<u8> {
     (0..len)
         .map(|i| (id as u8).wrapping_mul(31) ^ (v as u8) ^ (i as u8).wrapping_mul(7))
@@ -119,16 +137,25 @@ fn blob_bytes(id: u64, v: i64, len: usize) -> Vec<u8> {
 
 fn make_plans(seed: u64, txns: usize) -> Vec<TxnPlan> {
     let mut rng = Rng(seed);
-    let mut live: Vec<u64> = Vec::new();
-    let mut next_id = 1u64;
-    // Plan 0 only creates the table.
-    let mut plans = vec![TxnPlan { ops: Vec::new() }];
+    // Plan 0 creates the table and seeds it.
+    let mut live: Vec<u64> = (1..=SEED_ROWS).collect();
+    let mut next_id = SEED_ROWS + 1;
+    let seed_ops = live.iter().map(|&id| Op::Insert {
+        id,
+        v: rng.below(1000) as i64 - 500,
+        d_len: 1 + rng.below(8) as usize,
+        blob_len: None,
+    });
+    let mut plans = vec![TxnPlan {
+        ops: seed_ops.collect(),
+    }];
     for _ in 0..txns {
         let nops = 1 + rng.below(3) as usize;
         let mut ops = Vec::new();
         for _ in 0..nops {
             let choice = rng.below(10);
-            if live.is_empty() || choice < 5 {
+            let splits_the_seeded_leaves = plans.len() == 1 && ops.is_empty();
+            if splits_the_seeded_leaves || live.is_empty() || choice < 5 {
                 let id = next_id;
                 next_id += 1;
                 live.push(id);
@@ -169,6 +196,7 @@ fn make_plans(seed: u64, txns: usize) -> Vec<TxnPlan> {
 #[derive(Debug, Clone, PartialEq)]
 struct ModelRow {
     v: i64,
+    t: Option<String>,
     d: Vec<u8>,
     b: Option<Vec<u8>>,
 }
@@ -200,6 +228,7 @@ fn model_apply(state: &mut State, plan: &TxnPlan, first: bool) {
                     id,
                     ModelRow {
                         v,
+                        t: tag(v),
                         d: d_bytes(id, v, d_len),
                         b: blob_len.map(|n| blob_bytes(id, v, n)),
                     },
@@ -212,14 +241,18 @@ fn model_apply(state: &mut State, plan: &TxnPlan, first: bool) {
     }
 }
 
-fn table_schema() -> Schema {
-    Schema::new(vec![
+/// Creates the torture table with its secondary index on `T`.
+fn create_table(tx: &mut Transaction<'_>) -> Result<(), StorageError> {
+    let schema = Schema::new(vec![
         Column::new("ID", ColumnType::U64),
         Column::new("V", ColumnType::I64),
+        Column::new("T", ColumnType::Text),
         Column::new("D", ColumnType::Bytes),
         Column::new("B", ColumnType::Blob),
     ])
-    .unwrap()
+    .unwrap();
+    tx.create_table(TABLE, schema)?;
+    tx.create_index(TABLE, "T")
 }
 
 /// Applies one planned transaction, committing at the end. Any error
@@ -227,7 +260,7 @@ fn table_schema() -> Schema {
 fn apply_txn(db: &Database, plan: &TxnPlan, first: bool) -> Result<(), StorageError> {
     let mut tx = db.begin()?;
     if first {
-        tx.create_table(TABLE, table_schema())?;
+        create_table(&mut tx)?;
     }
     for op in &plan.ops {
         match *op {
@@ -246,6 +279,7 @@ fn apply_txn(db: &Database, plan: &TxnPlan, first: bool) -> Result<(), StorageEr
                     vec![
                         RowValue::U64(id),
                         RowValue::I64(v),
+                        tag_value(v),
                         RowValue::Bytes(d_bytes(id, v, d_len)),
                         b,
                     ],
@@ -258,7 +292,7 @@ fn apply_txn(db: &Database, plan: &TxnPlan, first: bool) -> Result<(), StorageEr
                 blob_len,
             } => {
                 let old = tx.get(TABLE, id)?.expect("plan updates live rows only");
-                if let RowValue::Blob(old_blob) = old[3] {
+                if let RowValue::Blob(old_blob) = old[4] {
                     tx.delete_blob(old_blob)?;
                 }
                 let b = match blob_len {
@@ -271,6 +305,7 @@ fn apply_txn(db: &Database, plan: &TxnPlan, first: bool) -> Result<(), StorageEr
                     vec![
                         RowValue::Null,
                         RowValue::I64(v),
+                        tag_value(v),
                         RowValue::Bytes(d_bytes(id, v, d_len)),
                         b,
                     ],
@@ -278,7 +313,7 @@ fn apply_txn(db: &Database, plan: &TxnPlan, first: bool) -> Result<(), StorageEr
             }
             Op::Delete { id } => {
                 let old = tx.delete(TABLE, id)?;
-                if let RowValue::Blob(old_blob) = old[3] {
+                if let RowValue::Blob(old_blob) = old[4] {
                     tx.delete_blob(old_blob)?;
                 }
             }
@@ -302,15 +337,32 @@ fn dump(db: &Database) -> State {
         let RowValue::I64(v) = row[1] else {
             panic!("bad v {row:?}")
         };
-        let RowValue::Bytes(ref d) = row[2] else {
+        let t = match row[2] {
+            RowValue::Text(ref t) => Some(t.clone()),
+            RowValue::Null => None,
+            ref other => panic!("bad t {other:?}"),
+        };
+        let RowValue::Bytes(ref d) = row[3] else {
             panic!("bad d {row:?}")
         };
-        let b = match row[3] {
+        let b = match row[4] {
             RowValue::Blob(bid) => Some(tx.get_blob(bid).unwrap()),
             RowValue::Null => None,
             ref other => panic!("bad blob column {other:?}"),
         };
-        m.insert(id, ModelRow { v, d: d.clone(), b });
+        let d = d.clone();
+        m.insert(id, ModelRow { v, t, d, b });
+    }
+    // The index must answer for exactly the rows the scan just returned.
+    let mut by_tag: BTreeMap<Option<&String>, Vec<u64>> = BTreeMap::new();
+    for (id, row) in &m {
+        by_tag.entry(row.t.as_ref()).or_default().push(*id);
+    }
+    for (t, ids) in by_tag {
+        let value = t.map_or(RowValue::Null, |t| RowValue::Text(t.clone()));
+        let found = tx.find(TABLE, "T", &value).unwrap();
+        let found: Vec<u64> = found.iter().map(|r| r[0].as_u64().unwrap()).collect();
+        assert_eq!(found, ids, "find({value:?}) disagrees with the scan");
     }
     Some(m)
 }
@@ -398,13 +450,14 @@ fn failpoint_sweep_recovers_at_every_durability_site() {
                 // The recovered database must accept further writes.
                 let mut tx = db.begin().unwrap();
                 if got.is_none() {
-                    tx.create_table(TABLE, table_schema()).unwrap();
+                    create_table(&mut tx).unwrap();
                 }
                 tx.insert(
                     TABLE,
                     vec![
                         RowValue::U64(999_999),
                         RowValue::I64(-1),
+                        tag_value(-1),
                         RowValue::Bytes(vec![0xEE; 8]),
                         RowValue::Null,
                     ],
@@ -646,7 +699,7 @@ fn group_commit_crash_keeps_acked_commits_and_prefix_order() {
                 opts,
             )?;
             let mut tx = db.begin()?;
-            tx.create_table(TABLE, table_schema())?;
+            create_table(&mut tx)?;
             tx.commit()?;
             Ok::<_, StorageError>(db)
         })();
@@ -662,6 +715,7 @@ fn group_commit_crash_keeps_acked_commits_and_prefix_order() {
                             let row = vec![
                                 RowValue::U64(key),
                                 RowValue::I64(seq as i64),
+                                tag_value(seq as i64),
                                 RowValue::Bytes(vec![w as u8; 16]),
                                 RowValue::Null,
                             ];

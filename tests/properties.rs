@@ -421,6 +421,140 @@ fn snapshot_readers_observe_serial_states() {
     }
 }
 
+/// `find` through a secondary index returns exactly the rows a scan-and-
+/// filter of the shadow model selects: on the writer (uncommitted rows
+/// included), on a snapshot pinned before later commits (which it must not
+/// see), after rollbacks, and after a reopen. One value is shared by 600
+/// rows at the start and over 300 throughout, so its bucket spans many
+/// slots and more than one leaf; `NULL` is a value like any other.
+#[test]
+fn index_find_matches_model() {
+    use rcmo::storage::{Column, ColumnType, Schema};
+    use std::collections::BTreeMap;
+
+    /// primary key → indexed value (`None` is NULL).
+    type Model = BTreeMap<u64, Option<String>>;
+
+    fn value(name: &Option<String>) -> RowValue {
+        name.clone().map_or(RowValue::Null, RowValue::Text)
+    }
+
+    fn row(id: u64, name: &Option<String>) -> Vec<RowValue> {
+        vec![RowValue::U64(id), value(name), RowValue::I64(id as i64)]
+    }
+
+    /// `$tx` is a `&ReadTransaction` or a `&mut Transaction`.
+    macro_rules! check_finds {
+        ($tx:expr, $model:expr, $names:expr, $ctx:expr) => {{
+            let (tx, model, ctx): (_, &Model, String) = ($tx, $model, $ctx);
+            for name in $names {
+                let found = tx.find("T", "NAME", &value(name)).unwrap();
+                let want: Vec<Vec<RowValue>> = model
+                    .iter()
+                    .filter(|(_, n)| *n == name)
+                    .map(|(id, n)| row(*id, n))
+                    .collect();
+                assert_eq!(found, want, "{ctx}: find {name:?}");
+            }
+        }};
+    }
+
+    let dir = std::env::temp_dir().join(format!("rcmo-prop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("index-model.db");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(rcmo::storage::db::wal_path_for(&path));
+
+    let mut rng = StdRng::seed_from_u64(0x1D3A_F1D0);
+    let hot = Some("hot".to_string());
+    let mut names: Vec<Option<String>> = (0..40).map(|i| Some(format!("n{i}"))).collect();
+    names.extend([None, hot.clone(), Some("never-stored".to_string())]);
+
+    let mut model = Model::new();
+    let mut db = Database::open(&path).unwrap();
+    {
+        let mut tx = db.begin().unwrap();
+        let schema = Schema::new(vec![
+            Column::new("ID", ColumnType::U64),
+            Column::new("NAME", ColumnType::Text),
+            Column::new("V", ColumnType::I64),
+        ]);
+        tx.create_table("T", schema.unwrap()).unwrap();
+        tx.create_index("T", "NAME").unwrap();
+        for id in 1..=600u64 {
+            tx.insert("T", row(id, &hot)).unwrap();
+            model.insert(id, hot.clone());
+        }
+        tx.commit().unwrap();
+    }
+    let mut next_id = 601u64;
+
+    for round in 0..4 {
+        let mut pinned: Vec<(rcmo::storage::ReadTransaction<'_>, Model)> = Vec::new();
+        for txn in 0..12 {
+            let ctx = format!("round {round} txn {txn}");
+            let mut scratch = model.clone();
+            let mut tx = db.begin().unwrap();
+            for _ in 0..rng.gen_range(1..16usize) {
+                let name = names[rng.gen_range(0..names.len() - 1)].clone();
+                let live = scratch.keys().nth(rng.gen_range(0..scratch.len())).copied();
+                match (rng.gen_range(0..10u32), live) {
+                    (0..=4, _) | (_, None) => {
+                        tx.insert("T", row(next_id, &name)).unwrap();
+                        scratch.insert(next_id, name);
+                        next_id += 1;
+                    }
+                    (5..=7, Some(id)) => {
+                        tx.update("T", id, row(id, &name)).unwrap();
+                        scratch.insert(id, name);
+                    }
+                    (_, Some(id)) => {
+                        tx.delete("T", id).unwrap();
+                        scratch.remove(&id);
+                    }
+                }
+            }
+            check_finds!(&mut tx, &scratch, &names, format!("{ctx}: writer"));
+            if rng.gen_bool(0.7) {
+                tx.commit().unwrap();
+                model = scratch;
+            } else {
+                tx.rollback();
+            }
+            if rng.gen_bool(0.4) {
+                pinned.push((db.begin_read().unwrap(), model.clone()));
+            }
+        }
+        check_finds!(
+            &mut db.begin().unwrap(),
+            &model,
+            &names,
+            format!("round {round}: end")
+        );
+        for (i, (snap, expect)) in pinned.iter().enumerate() {
+            check_finds!(snap, expect, &names, format!("round {round}: pinned {i}"));
+        }
+        drop(pinned);
+        drop(db);
+        db = Database::open(&path).unwrap();
+        check_finds!(
+            &db.begin_read().unwrap(),
+            &model,
+            &names,
+            format!("round {round}: reopened")
+        );
+        let report = db.check_integrity();
+        assert!(report.is_ok(), "round {round}: {report:?}");
+    }
+    assert!(
+        model.values().filter(|n| **n == hot).count() >= 300,
+        "the shared value must still fill a multi-leaf bucket"
+    );
+    drop(db);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(rcmo::storage::db::wal_path_for(&path));
+}
+
 /// BLOBs of arbitrary contents round-trip exactly, including prefixes.
 #[test]
 fn blob_roundtrip() {
