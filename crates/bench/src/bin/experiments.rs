@@ -7,8 +7,6 @@
 //! EXPERIMENTS.md records the outputs and compares them with what the paper
 //! shows qualitatively.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rcmo::obs::{MetricsSnapshot, Registry};
 use rcmo_audio::features::FeatureConfig;
 use rcmo_audio::segment::{segment_audio, SegmenterModel};
@@ -17,11 +15,10 @@ use rcmo_audio::synth::{self, SynthConfig, VoiceProfile};
 use rcmo_audio::wordspot::{roc, WordSpotter, WordSpotterConfig};
 use rcmo_bench::{consultation_fixture, medical_document};
 use rcmo_codec::{decode_prefix, decode_resolution, encode, EncoderConfig};
-use rcmo_core::cpnet::samples::{chain_net, figure2_net, tree_net};
+use rcmo_core::cpnet::samples::figure2_net;
 use rcmo_core::cpnet::{improving_flips, outcome_rank_vector};
 use rcmo_core::{
-    ComponentId, PartialAssignment, PresentationEngine, ReconfigEngine, Value, VarId, ViewerChoice,
-    ViewerSession,
+    ComponentId, PartialAssignment, PresentationEngine, Value, ViewerChoice, ViewerSession,
 };
 use rcmo_imaging::{ct_phantom, psnr, segment_image, LineElement, TextElement};
 use rcmo_netsim::{simulate_session, FaultSpec, Link, PolicyKind, SessionConfig};
@@ -34,13 +31,22 @@ fn section(id: &str, title: &str) {
     println!("================================================================");
 }
 
+/// Nearest-rank `q`-quantile of an ascending slice; the default value when
+/// there are no samples.
+fn quantile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    match sorted.len() {
+        0 => T::default(),
+        n => sorted[((n - 1) as f64 * q).round() as usize],
+    }
+}
+
 fn main() {
     let t0 = Instant::now();
     let selected: Vec<String> = std::env::args()
         .skip(1)
         .map(|a| a.to_ascii_lowercase())
         .collect();
-    let all: [(&str, fn()); 22] = [
+    let all: [(&str, fn()); 20] = [
         ("e1", e1_architecture),
         ("e2", e2_cpnet_example),
         ("e3", e3_usecases),
@@ -55,9 +61,7 @@ fn main() {
         ("e12", e12_ablations),
         ("e13", e13_fault_tolerance),
         ("e14", e14_observability),
-        ("e15", e15_reconfig),
         ("e16", e16_crash),
-        ("e17", e17_concurrency),
         ("e18", e18_cluster),
         ("e19", e19_fanout),
         ("e20", e20_storage_scale),
@@ -1274,8 +1278,7 @@ fn e14_observability() {
         subsystems
     );
 
-    // Export: JSON round-trips exactly, then lands next to the other
-    // BENCH_* artifacts.
+    // Export: JSON round-trips exactly, then lands in the working directory.
     let json = snap.to_json();
     assert_eq!(MetricsSnapshot::from_json(&json).expect("parse"), snap);
     std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
@@ -1285,179 +1288,18 @@ fn e14_observability() {
     );
 }
 
-/// E15 (incremental reconfiguration): the [`ReconfigEngine`] against the
-/// full topological sweep on 30-variable chain and tree nets, under two
-/// workloads:
-///
-/// * **solo** — one viewer, one evidence change per reconfiguration; only
-///   the dirty-cone path can help.
-/// * **room** — four viewers tracking the same evidence stream, all
-///   reconfigured after every change (exactly what
-///   `Room::push_presentation_update` does per event); the first viewer
-///   computes the cone, the rest hit the evidence memo.
-///
-/// Every engine result is checked against the sweep. Writes
-/// `BENCH_reconfig.json`; the run aborts if either workload's median
-/// regresses past the full-sweep median, which is the CI gate.
-fn e15_reconfig() {
-    section(
-        "E15",
-        "incremental reconfiguration vs full sweep (30-variable nets)",
-    );
-    const STEPS: usize = 4_000;
-    const WARMUP: usize = 500;
-    const ROOM: usize = 4;
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
-    let nets = [
-        ("chain30", chain_net(30, 2, 0xE15)),
-        ("tree30", tree_net(30, 2, 0xE15)),
-    ];
-    println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>9}",
-        "workload", "full p50", "p95", "p99", "eng p50", "p95", "p99", "speedup", "hit-rate"
-    );
-    println!("(per-reconfiguration latencies in ns, {STEPS} steps after {WARMUP} warmup)");
-    let mut entries = Vec::new();
-    for (name, net) in &nets {
-        let mut rng = StdRng::seed_from_u64(0x2002_0515);
-        // One choice changes per step, occasionally withdrawn — the
-        // per-click workload `reconfigPresentation` faces.
-        let mut ev = PartialAssignment::empty(net.len());
-        let walk: Vec<PartialAssignment> = (0..STEPS + WARMUP)
-            .map(|_| {
-                let v = VarId(rng.gen_range(0..net.len() as u32));
-                if rng.gen_range(0..4) == 0 {
-                    ev.clear(v);
-                } else {
-                    let dom = net.variable(v).unwrap().domain().len() as u16;
-                    ev.set(v, Value(rng.gen_range(0..dom)));
-                }
-                ev.clone()
-            })
-            .collect();
-
-        // Baseline: recompute the optimal completion from scratch each step
-        // (per-call cost is viewer-independent, so this is also the room
-        // baseline); keep the outcomes to check the engine step by step.
-        let mut full_ns = Vec::with_capacity(STEPS);
-        let mut full_outcomes = Vec::with_capacity(walk.len());
-        for (i, e) in walk.iter().enumerate() {
-            let t = Instant::now();
-            let out = net.optimal_completion(e);
-            if i >= WARMUP {
-                full_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            full_outcomes.push(out);
-        }
-        full_ns.sort_unstable();
-        let (f50, f95, f99) = (
-            quantile(&full_ns, 0.50),
-            quantile(&full_ns, 0.95),
-            quantile(&full_ns, 0.99),
-        );
-
-        // Solo: the same evidence sequence through one engine, one viewer.
-        let mut solo = ReconfigEngine::new();
-        let mut solo_ns = Vec::with_capacity(STEPS);
-        for (i, e) in walk.iter().enumerate() {
-            let t = Instant::now();
-            let out = solo.completion(net, "solo", e);
-            if i >= WARMUP {
-                solo_ns.push(t.elapsed().as_nanos() as u64);
-            }
-            assert_eq!(out, full_outcomes[i], "{name} solo: diverged at step {i}");
-        }
-
-        // Room: every member's presentation is reconfigured after every
-        // change, as `Room::push_presentation_update` does per event.
-        let members: Vec<String> = (0..ROOM).map(|m| format!("member-{m}")).collect();
-        let mut room = ReconfigEngine::new();
-        let mut room_ns = Vec::with_capacity(STEPS * ROOM);
-        for (i, e) in walk.iter().enumerate() {
-            for member in &members {
-                let t = Instant::now();
-                let out = room.completion(net, member, e);
-                if i >= WARMUP {
-                    room_ns.push(t.elapsed().as_nanos() as u64);
-                }
-                assert_eq!(out, full_outcomes[i], "{name} room: diverged at step {i}");
-            }
-        }
-
-        for (kind, ns, stats) in [
-            ("solo", solo_ns, solo.stats()),
-            ("room-of-4", room_ns, room.stats()),
-        ] {
-            let mut ns = ns;
-            ns.sort_unstable();
-            let (e50, e95, e99) = (
-                quantile(&ns, 0.50),
-                quantile(&ns, 0.95),
-                quantile(&ns, 0.99),
-            );
-            let speedup = f50 as f64 / e50.max(1) as f64;
-            println!(
-                "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7.1}x {:>8.1}%",
-                format!("{name}/{kind}"),
-                f50,
-                f95,
-                f99,
-                e50,
-                e95,
-                e99,
-                speedup,
-                stats.hit_rate() * 100.0
-            );
-            assert!(
-                speedup >= 1.0,
-                "{name} {kind}: engine p50 {e50}ns slower than full sweep p50 {f50}ns"
-            );
-            entries.push(format!(
-                concat!(
-                    "    {{\"net\": \"{}\", \"workload\": \"{}\", \"steps\": {}, ",
-                    "\"full_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, ",
-                    "\"engine_ns\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}}}, ",
-                    "\"speedup_p50\": {:.2}, \"memo_hit_rate\": {:.4}, ",
-                    "\"incremental_recomputes\": {}, \"full_sweeps\": {}}}"
-                ),
-                name,
-                kind,
-                STEPS,
-                f50,
-                f95,
-                f99,
-                e50,
-                e95,
-                e99,
-                speedup,
-                stats.hit_rate(),
-                stats.incremental,
-                stats.full_sweeps
-            ));
-        }
-    }
-    println!("(room-of-4 is the deployment shape: one cone recompute per event,");
-    println!(" the other members served from the evidence memo)");
-    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
-    std::fs::write("BENCH_reconfig.json", &json).expect("write BENCH_reconfig.json");
-    println!("wrote BENCH_reconfig.json ({} bytes)", json.len());
-}
-
 /// E16 (crash torture): the storage stack's crash-survival matrix. Every
 /// named durability failpoint is armed at every occurrence across a seeded
 /// insert-and-update workload on a table with a secondary index (seeded one
 /// full leaf deep, so the first workload commit splits the primary-key and
 /// index roots and every later one moves index entries); after each induced
-/// crash the database is reopened and classified — the in-flight transaction is either *lost* (crash before the
-/// WAL commit record, only legal at `storage.wal.append`) or *durable*
-/// (recovered by WAL replay), and [`Database::check_integrity`] must pass.
-/// Recovery (reopen) latency is reported overall and bucketed by WAL length
-/// at the crash. Writes `BENCH_crash.json`; the run aborts on any integrity
-/// failure or atomicity violation, which is the CI gate.
+/// crash the database is reopened and classified — the in-flight transaction
+/// is either *lost* (crash before the WAL commit record, only legal at
+/// `storage.wal.append`) or *durable* (recovered by WAL replay), and
+/// [`rcmo::storage::Database::check_integrity`] must pass. Recovery (reopen)
+/// latency is reported overall and bucketed by WAL length at the crash. The
+/// run aborts on any integrity failure or atomicity violation, which is the
+/// CI gate.
 fn e16_crash() {
     section(
         "E16",
@@ -1541,14 +1383,6 @@ fn e16_crash() {
             }
         }
         tx.commit()
-    }
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-        }
     }
 
     #[derive(Default)]
@@ -1677,7 +1511,6 @@ fn e16_crash() {
         "{:<28} {:>10} {:>6} {:>8} {:>10}",
         "failpoint", "schedules", "lost", "durable", "integrity"
     );
-    let mut site_entries = Vec::new();
     let mut total_failures = 0u64;
     for (site, s) in &stats {
         println!(
@@ -1685,13 +1518,6 @@ fn e16_crash() {
             site, s.schedules, s.lost, s.durable, s.integrity_failures
         );
         total_failures += s.integrity_failures;
-        site_entries.push(format!(
-            concat!(
-                "    {{\"site\": \"{}\", \"schedules\": {}, \"lost\": {}, ",
-                "\"durable\": {}, \"integrity_failures\": {}}}"
-            ),
-            site, s.schedules, s.lost, s.durable, s.integrity_failures
-        ));
     }
 
     let mut all_us: Vec<u64> = recovery.iter().map(|&(_, us)| us).collect();
@@ -1708,7 +1534,6 @@ fn e16_crash() {
         ("64-224KiB", 64 << 10, 224 << 10),
         (">=224KiB", 224 << 10, u64::MAX),
     ];
-    let mut bucket_entries = Vec::new();
     for (label, lo, hi) in BUCKETS {
         let mut us: Vec<u64> = recovery
             .iter()
@@ -1723,36 +1548,8 @@ fn e16_crash() {
             quantile(&us, 0.95),
             quantile(&us, 0.99)
         );
-        bucket_entries.push(format!(
-            concat!(
-                "    {{\"wal_bytes\": \"{}\", \"samples\": {}, \"p50_us\": {}, ",
-                "\"p95_us\": {}, \"p99_us\": {}}}"
-            ),
-            label,
-            us.len(),
-            quantile(&us, 0.50),
-            quantile(&us, 0.95),
-            quantile(&us, 0.99)
-        ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"seeds\": {:?},\n  \"txns_per_seed\": {},\n  \"sites\": [\n{}\n  ],\n",
-            "  \"recovery_us\": {{\"samples\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}},\n",
-            "  \"recovery_by_wal_bytes\": [\n{}\n  ]\n}}\n"
-        ),
-        SEEDS,
-        TXNS + 1,
-        site_entries.join(",\n"),
-        all_us.len(),
-        quantile(&all_us, 0.50),
-        quantile(&all_us, 0.95),
-        quantile(&all_us, 0.99),
-        bucket_entries.join(",\n")
-    );
-    std::fs::write("BENCH_crash.json", &json).expect("write BENCH_crash.json");
-    println!("wrote BENCH_crash.json ({} bytes)", json.len());
     assert_eq!(
         total_failures, 0,
         "E16: {total_failures} integrity failures across the crash sweep"
@@ -1761,506 +1558,37 @@ fn e16_crash() {
     println!(" only at the pre-commit WAL append, never after the WAL sync)");
 }
 
-/// E17 (contention): the two-level room locking against the old global
-/// room-map lock, under a multi-room consultation workload.
-///
-/// N rooms × M members; each worker thread drives its own room with mixed
-/// traffic — chat/annotation broadcasts, presentation reconfigurations,
-/// object renders, and a periodic "slow CT decode" modelled as a fixed
-/// 1 ms hold of that room's lock (the blocking service time the paper's
-/// image fetch+decode path exhibits). The **global** baseline reproduces
-/// the pre-refactor server by serialising every operation, decode
-/// included, through one process-wide mutex — exactly what
-/// `Mutex<HashMap<RoomId, Room>>` did. The **per-room** mode is the
-/// shipping two-level scheme.
-///
-/// Reports throughput vs. worker threads and per-op p50/p99 latency for
-/// both modes, plus the per-room lock wait/hold instrumentation. Writes
-/// `BENCH_concurrency.json`; the run aborts unless per-room multi-room
-/// throughput scales ≥ 2× from 1 → 4 threads, which is the CI gate.
-fn e17_concurrency() {
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    section("E17", "per-room concurrency vs the global room lock");
-
-    const MAX_THREADS: usize = 8;
-    const MEMBERS: usize = 4;
-    const OPS: usize = 160;
-    const DECODE: Duration = Duration::from_millis(1);
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Mode {
-        Global,
-        PerRoom,
-    }
-
-    struct RunResult {
-        wall: Duration,
-        latencies_us: Vec<u64>,
-        ops: usize,
-    }
-
-    /// One run: `threads` workers, each bound to its own room of `MEMBERS`
-    /// members, a fresh server per run so rooms start identical.
-    fn run(mode: Mode, threads: usize) -> RunResult {
-        let (srv, doc_id, image_id) = consultation_fixture(threads * MEMBERS);
-        let srv = Arc::new(srv);
-        let global_lock = Arc::new(Mutex::new(()));
-        let mut rooms = Vec::new();
-        let mut conns = Vec::new();
-        for r in 0..threads {
-            let owner = format!("user-{}", r * MEMBERS);
-            let room = srv
-                .create_room(&owner, &format!("e17-{r}"), doc_id)
-                .unwrap();
-            for m in 0..MEMBERS {
-                conns.push(
-                    srv.join_default(room, &format!("user-{}", r * MEMBERS + m))
-                        .unwrap(),
-                );
-            }
-            srv.open_image(room, &owner, image_id).unwrap();
-            rooms.push(room);
-        }
-
-        let start = Instant::now();
-        let mut workers = Vec::new();
-        for (r, &room) in rooms.iter().enumerate() {
-            let srv = Arc::clone(&srv);
-            let global_lock = Arc::clone(&global_lock);
-            let user = format!("user-{}", r * MEMBERS);
-            workers.push(std::thread::spawn(move || {
-                let mut lat = Vec::with_capacity(OPS);
-                for i in 0..OPS {
-                    let t = Instant::now();
-                    // The baseline serialises *every* op process-wide, as
-                    // the old `Mutex<HashMap<..>>` server did.
-                    let _g = match mode {
-                        Mode::Global => Some(global_lock.lock().unwrap()),
-                        Mode::PerRoom => None,
-                    };
-                    match i % 4 {
-                        0 => srv
-                            .act(
-                                room,
-                                &user,
-                                Action::Chat {
-                                    text: format!("op {i}"),
-                                },
-                            )
-                            .unwrap(),
-                        1 => srv
-                            .act(
-                                room,
-                                &user,
-                                Action::AddLine {
-                                    object: image_id,
-                                    element: LineElement {
-                                        x0: (i % 64) as i64,
-                                        y0: 0,
-                                        x1: 63,
-                                        y1: (i % 64) as i64,
-                                        intensity: 190,
-                                    },
-                                },
-                            )
-                            .unwrap(),
-                        2 => {
-                            std::hint::black_box(srv.render_presentation(room, &user).unwrap());
-                        }
-                        _ => {
-                            // Slow CT decode: a blocking, in-room service
-                            // time held under that room's lock only.
-                            match mode {
-                                Mode::PerRoom => {
-                                    let handle = srv.room_handle(room).unwrap();
-                                    let _room = handle.lock();
-                                    std::thread::sleep(DECODE);
-                                }
-                                // The outer guard *is* the old room lock.
-                                Mode::Global => std::thread::sleep(DECODE),
-                            }
-                            std::hint::black_box(srv.render_object(room, image_id).unwrap());
-                        }
-                    }
-                    lat.push(t.elapsed().as_micros() as u64);
-                }
-                lat
-            }));
-        }
-        let mut latencies_us: Vec<u64> = Vec::new();
-        for w in workers {
-            latencies_us.extend(w.join().unwrap());
-        }
-        let wall = start.elapsed();
-        drop(conns);
-        RunResult {
-            wall,
-            latencies_us,
-            ops: threads * OPS,
-        }
-    }
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
-    println!(
-        "{} rooms max, {MEMBERS} members/room, {OPS} ops/thread; every 4th op is a",
-        MAX_THREADS
-    );
-    println!("1 ms CT-decode hold of the room's lock (the paper's slow fetch+decode)\n");
-    println!(
-        "{:<10} {:>8} {:>12} {:>10} {:>10} {:>9}",
-        "mode", "threads", "ops/s", "p50 µs", "p99 µs", "scaling"
-    );
-
-    let mut results: Vec<(Mode, usize, f64, u64, u64)> = Vec::new();
-    let mut entries = Vec::new();
-    for mode in [Mode::Global, Mode::PerRoom] {
-        let mut base_thr = 0.0f64;
-        for threads in [1usize, 2, 4, 8] {
-            let r = run(mode, threads);
-            let thr = r.ops as f64 / r.wall.as_secs_f64();
-            let mut lat = r.latencies_us;
-            lat.sort_unstable();
-            let (p50, p99) = (quantile(&lat, 0.50), quantile(&lat, 0.99));
-            if threads == 1 {
-                base_thr = thr;
-            }
-            let scaling = thr / base_thr;
-            let mode_name = match mode {
-                Mode::Global => "global",
-                Mode::PerRoom => "per-room",
-            };
-            println!(
-                "{:<10} {:>8} {:>12.0} {:>10} {:>10} {:>8.2}x",
-                mode_name, threads, thr, p50, p99, scaling
-            );
-            results.push((mode, threads, thr, p50, p99));
-            entries.push(format!(
-                concat!(
-                    "    {{\"mode\": \"{}\", \"threads\": {}, \"rooms\": {}, ",
-                    "\"members_per_room\": {}, \"ops\": {}, \"wall_ms\": {:.1}, ",
-                    "\"throughput_ops_s\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, ",
-                    "\"scaling_vs_1_thread\": {:.3}}}"
-                ),
-                mode_name,
-                threads,
-                threads,
-                MEMBERS,
-                r.ops,
-                r.wall.as_secs_f64() * 1e3,
-                thr,
-                p50,
-                p99,
-                scaling
-            ));
-        }
-    }
-
-    let thr_of = |mode: Mode, threads: usize| {
-        results
-            .iter()
-            .find(|(m, t, ..)| *m == mode && *t == threads)
-            .map(|&(_, _, thr, _, _)| thr)
-            .unwrap()
-    };
-    let scaling_1_to_4 = thr_of(Mode::PerRoom, 4) / thr_of(Mode::PerRoom, 1);
-    let vs_baseline_4 = thr_of(Mode::PerRoom, 4) / thr_of(Mode::Global, 4);
-    let p99_of = |mode: Mode, threads: usize| {
-        results
-            .iter()
-            .find(|(m, t, ..)| *m == mode && *t == threads)
-            .map(|&(.., p99)| p99)
-            .unwrap()
-    };
-    println!(
-        "\nper-room scaling 1->4 threads: {scaling_1_to_4:.2}x \
-         (gate: >= 2x); vs global baseline at 4 threads: {vs_baseline_4:.2}x"
-    );
-    println!(
-        "p99 at 4 threads: global {} µs vs per-room {} µs",
-        p99_of(Mode::Global, 4),
-        p99_of(Mode::PerRoom, 4)
-    );
-
-    // The lock-layer instrumentation accumulated across every run.
-    let snap = Registry::global().snapshot();
-    println!(
-        "lock layer: map reads {}, map writes {}",
-        snap.counters
-            .get("server.rooms.map.read.count")
-            .copied()
-            .unwrap_or(0),
-        snap.counters
-            .get("server.rooms.map.write.count")
-            .copied()
-            .unwrap_or(0)
-    );
-    for name in ["server.room.lock.wait.us", "server.room.lock.hold.us"] {
-        if let Some(h) = snap.histograms.get(name) {
-            println!(
-                "  {name}: {} samples, p50 {} p95 {} p99 {} max {} µs",
-                h.count,
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max
-            );
-        }
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"ops_per_thread\": {},\n  \"members_per_room\": {},\n",
-            "  \"decode_hold_ms\": 1,\n  \"runs\": [\n{}\n  ],\n",
-            "  \"per_room_scaling_1_to_4\": {:.3},\n",
-            "  \"per_room_vs_global_at_4\": {:.3}\n}}\n"
-        ),
-        OPS,
-        MEMBERS,
-        entries.join(",\n"),
-        scaling_1_to_4,
-        vs_baseline_4
-    );
-    std::fs::write("BENCH_concurrency.json", &json).expect("write BENCH_concurrency.json");
-    println!("wrote BENCH_concurrency.json ({} bytes)", json.len());
-
-    assert!(
-        scaling_1_to_4 >= 2.0,
-        "E17: multi-room throughput scaled only {scaling_1_to_4:.2}x from 1 to 4 \
-         threads (gate: >= 2x)"
-    );
-    println!("(independent rooms now ride their own locks: the decode stall of one");
-    println!(" room no longer serialises the whole server)");
-}
-
+/// E18 (cluster): live migration and zero-loss failover under traffic.
+/// Eight rooms, pinned two per shard over four shards, chat through three
+/// phases; between them two rooms live-migrate with their members attached
+/// and shard 3 is killed by seed (its heartbeats stop, the detector
+/// declares it dead, failover rebuilds its rooms from the frontend-held
+/// replicas). Gates: both of the dead shard's rooms fail over, their
+/// resynced streams equal the uninterrupted reference, every stream is
+/// dense through the room's last sequence number, and no journal event
+/// lost its state effect.
 fn e18_cluster() {
     use rcmo::obs::Metrics;
     use rcmo_bench::cluster_fixture;
-    use rcmo_server::{ClusterConfig, ClusterFrontend, ClusterStats, ShardHealth};
-    use std::sync::Arc;
+    use rcmo_server::{ClusterConfig, ClusterStats, ShardHealth};
 
-    section(
-        "E18",
-        "sharded cluster: room-throughput scaling, live migration, zero-loss failover",
-    );
+    section("E18", "sharded cluster: live migration, zero-loss failover");
 
     const ROOMS: usize = 8;
-    const OPS: usize = 120;
-    // Modeled reflector event-loop service time per routed call: the
-    // single-threaded-daemon bottleneck E17's decode stall plays for
-    // room locks, at the shard ingress (which only this model enters).
-    const SERVICE_US: u64 = 300;
+    const SHARDS: usize = 4;
 
-    /// A fresh cluster with rooms pinned round-robin across shards (the
-    /// consistent hash alone spreads unevenly at this small N; pinning by
-    /// live migration keeps the scaling runs comparable).
-    fn build(shards: usize, service_us: u64) -> (Arc<ClusterFrontend>, Vec<u64>, u64, u64) {
-        let mut cfg = ClusterConfig::new(shards);
-        cfg.ingress_service_us = service_us;
-        let (cf, doc_id, image_id) = cluster_fixture(ROOMS, cfg);
-        let mut rooms = Vec::new();
-        for r in 0..ROOMS {
-            let owner = format!("user-{r}");
-            let room = cf.create_room(&owner, &format!("e18-{r}"), doc_id).unwrap();
-            cf.migrate_room(room, r % shards).unwrap();
-            rooms.push(room);
-        }
-        (Arc::new(cf), rooms, doc_id, image_id)
-    }
-
-    // ---- Part 1: room-throughput scaling, 1 -> 4 shards -----------------
-    // Eight rooms, one driver thread each. One shard serialises all eight
-    // through its single ingress; four shards run two rooms' worth each.
-    println!("part 1: {ROOMS} rooms x {OPS} ops, {SERVICE_US} µs reflector service/call\n");
-    println!(
-        "{:>7} {:>12} {:>10} {:>10} {:>9}",
-        "shards", "ops/s", "p50 µs", "p99 µs", "scaling"
-    );
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
-    let mut entries = Vec::new();
-    let mut thr_by_shards: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (cf, rooms, _doc_id, image_id) = build(shards, SERVICE_US);
-        let mut conns = Vec::new();
-        for (r, &room) in rooms.iter().enumerate() {
-            let owner = format!("user-{r}");
-            conns.push(cf.join_default(room, &owner).unwrap());
-            cf.open_image(room, &owner, image_id).unwrap();
-        }
-        let start = Instant::now();
-        let mut workers = Vec::new();
-        for (r, &room) in rooms.iter().enumerate() {
-            let cf = Arc::clone(&cf);
-            let user = format!("user-{r}");
-            workers.push(std::thread::spawn(move || {
-                let mut lat = Vec::with_capacity(OPS);
-                for i in 0..OPS {
-                    let t = Instant::now();
-                    match i % 3 {
-                        0 => cf
-                            .act(
-                                room,
-                                &user,
-                                Action::Chat {
-                                    text: format!("op {i}"),
-                                },
-                            )
-                            .unwrap(),
-                        1 => cf
-                            .act(
-                                room,
-                                &user,
-                                Action::AddLine {
-                                    object: image_id,
-                                    element: LineElement {
-                                        x0: (i % 64) as i64,
-                                        y0: 0,
-                                        x1: 63,
-                                        y1: (i % 64) as i64,
-                                        intensity: 190,
-                                    },
-                                },
-                            )
-                            .unwrap(),
-                        _ => {
-                            std::hint::black_box(cf.render_presentation(room, &user).unwrap());
-                        }
-                    }
-                    lat.push(t.elapsed().as_micros() as u64);
-                }
-                lat
-            }));
-        }
-        let mut lat: Vec<u64> = Vec::new();
-        for w in workers {
-            lat.extend(w.join().unwrap());
-        }
-        let wall = start.elapsed();
-        drop(conns);
-        let thr = (ROOMS * OPS) as f64 / wall.as_secs_f64();
-        lat.sort_unstable();
-        let (p50, p99) = (quantile(&lat, 0.50), quantile(&lat, 0.99));
-        let base = thr_by_shards.first().map(|&(_, t)| t).unwrap_or(thr);
-        let scaling = thr / base;
-        println!("{shards:>7} {thr:>12.0} {p50:>10} {p99:>10} {scaling:>8.2}x");
-        entries.push(format!(
-            concat!(
-                "    {{\"shards\": {}, \"rooms\": {}, \"ops\": {}, \"wall_ms\": {:.1}, ",
-                "\"throughput_ops_s\": {:.0}, \"p50_us\": {}, \"p99_us\": {}, ",
-                "\"scaling_vs_1_shard\": {:.3}}}"
-            ),
-            shards,
-            ROOMS,
-            ROOMS * OPS,
-            wall.as_secs_f64() * 1e3,
-            thr,
-            p50,
-            p99,
-            scaling
-        ));
-        thr_by_shards.push((shards, thr));
-    }
-    let thr_of = |n: usize| {
-        thr_by_shards
-            .iter()
-            .find(|&&(s, _)| s == n)
-            .map(|&(_, t)| t)
-            .unwrap()
-    };
-    let scaling_1_to_4 = thr_of(4) / thr_of(1);
-    println!("\nroom-throughput scaling 1->4 shards: {scaling_1_to_4:.2}x (gate: >= 2x)");
-
-    // ---- Part 1b: the unmodelled data plane, 1 vs 2 drivers on one shard -
-    // No service-time model: a routed call takes no shard-wide lock, so
-    // two drivers on disjoint rooms of one shard must not be slower than
-    // one. Act-only, the benchmark probe's mix (2/3 `Choose` — the click
-    // that reconfigures the CP-net — and 1/3 chat); alternating rounds,
-    // medians.
-    const UNMODELLED_OPS: usize = 48_000;
-    const UNMODELLED_ROUNDS: usize = 5;
-    let (cf, rooms, _doc_id, _image_id) = build(1, 0);
-    let conns: Vec<_> = rooms
-        .iter()
-        .enumerate()
-        .map(|(r, &room)| cf.join_default(room, &format!("user-{r}")).unwrap())
-        .collect();
-    let ct = cf
-        .shard_server(0)
-        .room_handle(rooms[0])
-        .unwrap()
-        .lock()
-        .document()
-        .component_by_name("item-0-0")
-        .unwrap();
-    let drive = |threads: usize| -> u64 {
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let (cf, rooms) = (&cf, &rooms);
-                scope.spawn(move || {
-                    let mine: Vec<usize> = (t..ROOMS).step_by(threads).collect();
-                    for i in 0..UNMODELLED_OPS / threads {
-                        let r = mine[i % mine.len()];
-                        let action = if i % 3 == 2 {
-                            Action::Chat {
-                                text: format!("op {i}"),
-                            }
-                        } else {
-                            Action::Choose {
-                                component: ct,
-                                form: i / mine.len() % 3,
-                            }
-                        };
-                        cf.act(rooms[r], &format!("user-{r}"), action).unwrap();
-                    }
-                });
-            }
-        });
-        let thr = (UNMODELLED_OPS as f64 / start.elapsed().as_secs_f64()) as u64;
-        // Keep member queues and replica journals far from their bounds.
-        for conn in &conns {
-            conn.events.try_iter().for_each(drop);
-        }
-        cf.maintain_replicas().unwrap();
-        thr
-    };
-    drive(2); // warm-up
-    let (mut thr_1t, mut thr_2t) = (Vec::new(), Vec::new());
-    for _ in 0..UNMODELLED_ROUNDS {
-        thr_1t.push(drive(1));
-        thr_2t.push(drive(2));
-    }
-    thr_1t.sort_unstable();
-    thr_2t.sort_unstable();
-    let (unmodelled_1t, unmodelled_2t) = (quantile(&thr_1t, 0.5), quantile(&thr_2t, 0.5));
-    let unmodelled_2t_ratio = unmodelled_2t as f64 / unmodelled_1t as f64;
-    println!(
-        "\npart 1b: unmodelled (service 0 µs), 1 shard, {ROOMS} rooms, act-only, \
-         {UNMODELLED_OPS} ops x {UNMODELLED_ROUNDS} rounds, {} cores",
-        std::thread::available_parallelism().map_or(0, |n| n.get())
-    );
-    println!("  1 driver: {unmodelled_1t:>9} ops/s    2 drivers: {unmodelled_2t:>9} ops/s");
-    println!("  2-driver ratio: {unmodelled_2t_ratio:.2}x (gate: >= 1.0x)");
-    drop(conns);
-
-    // ---- Part 2: live migration + seeded shard kill under traffic ------
-    // Four shards, rooms pinned two per shard. Traffic runs in three
-    // phases; between them two rooms live-migrate and shard 3 is killed
-    // (its heartbeats stop; the detector declares it dead; failover
-    // rebuilds its rooms from the frontend-held replicas).
-    println!("\npart 2: migration + failover under traffic (4 shards, seeded kill of shard 3)");
-    let (cf, rooms, _doc_id, _image_id) = build(4, 0);
-    let mut conns = Vec::new();
-    for (r, &room) in rooms.iter().enumerate() {
-        conns.push(cf.join_default(room, &format!("user-{r}")).unwrap());
+    println!("migration + failover under traffic ({SHARDS} shards, seeded kill of shard 3)");
+    // Rooms are pinned round-robin by live migration: the consistent hash
+    // alone spreads unevenly at this small N, and the kill below must hit
+    // exactly rooms 3 and 7.
+    let (cf, doc_id, _image_id) = cluster_fixture(ROOMS, ClusterConfig::new(SHARDS));
+    let (mut rooms, mut conns) = (Vec::new(), Vec::new());
+    for r in 0..ROOMS {
+        let owner = format!("user-{r}");
+        let room = cf.create_room(&owner, &format!("e18-{r}"), doc_id).unwrap();
+        cf.migrate_room(room, r % SHARDS).unwrap();
+        rooms.push(room);
+        conns.push(cf.join_default(room, &owner).unwrap());
     }
     let chat = |room: u64, r: usize, tag: &str, i: usize| {
         cf.act(
@@ -2361,7 +1689,7 @@ fn e18_cluster() {
         assert_eq!(*seqs.last().unwrap(), cf.last_seq(rooms[*r]).unwrap());
     }
 
-    let stats: ClusterStats = Metrics::metrics(cf.as_ref());
+    let stats: ClusterStats = Metrics::metrics(&cf);
     println!(
         "  cluster stats: {} migrations, {} failover rooms, {} lossy events, {} route retries",
         stats.migrations, stats.failover_rooms, stats.failover_lossy_events, stats.route_retries
@@ -2372,7 +1700,7 @@ fn e18_cluster() {
         stats.failover_lossy_events, 0,
         "E18: failover dropped event effects"
     );
-    for s in 0..4 {
+    for s in 0..SHARDS {
         let health = cf.shard_health(s);
         println!("  shard {s} health: {health:?}");
         assert_eq!(
@@ -2384,41 +1712,6 @@ fn e18_cluster() {
             }
         );
     }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"rooms\": {},\n  \"ops_per_room\": {},\n",
-            "  \"ingress_service_us\": {},\n  \"runs\": [\n{}\n  ],\n",
-            "  \"scaling_1_to_4_shards\": {:.3},\n",
-            "  \"unmodelled_1t_ops_s\": {},\n  \"unmodelled_2t_ops_s\": {},\n",
-            "  \"unmodelled_2t_ratio\": {:.3},\n",
-            "  \"migrations\": {},\n  \"failover_rooms\": {},\n",
-            "  \"failover_lossy_events\": {},\n  \"zero_event_loss\": true\n}}\n"
-        ),
-        ROOMS,
-        OPS,
-        SERVICE_US,
-        entries.join(",\n"),
-        scaling_1_to_4,
-        unmodelled_1t,
-        unmodelled_2t,
-        unmodelled_2t_ratio,
-        stats.migrations,
-        stats.failover_rooms,
-        stats.failover_lossy_events
-    );
-    std::fs::write("BENCH_cluster.json", &json).expect("write BENCH_cluster.json");
-    println!("wrote BENCH_cluster.json ({} bytes)", json.len());
-
-    assert!(
-        scaling_1_to_4 >= 2.0,
-        "E18: room throughput scaled only {scaling_1_to_4:.2}x from 1 to 4 shards (gate: >= 2x)"
-    );
-    assert!(
-        unmodelled_2t_ratio >= 1.0,
-        "E18: two drivers on one unmodelled shard ran at {unmodelled_2t_ratio:.2}x of one \
-         (gate: >= 1.0x) — something shard-wide is serialising routed calls again"
-    );
     println!("(a dead shard costs only its own rooms one resync; everyone else never notices)");
 }
 
@@ -2433,8 +1726,8 @@ fn e18_cluster() {
 /// past the replay horizon), served from the room's snapshot byte cache,
 /// with their live stream starting exactly at `snapshot.seq + 1` and
 /// staying gap-free to the end — zero event loss — while the presenter's
-/// per-broadcast latency never stalls. Writes `BENCH_fanout.json`; every
-/// gate aborts the run on violation, which is the CI gate.
+/// per-broadcast latency never stalls. Every gate aborts the run on
+/// violation, which is the CI gate.
 fn e19_fanout() {
     section(
         "E19",
@@ -2464,7 +1757,6 @@ fn e19_fanout() {
         "audience", "join ms", "cost/event us", "encodes", "deliveries", "clone-base us"
     );
     let mut rows = Vec::new();
-    let mut entries = Vec::new();
     // The 10k room survives the loop: the storm phase below hits it.
     let mut lecture = None;
     for &n in &AUDIENCES {
@@ -2577,14 +1869,6 @@ fn e19_fanout() {
             "{:>9} {:>10.1} {:>14.2} {:>10} {:>12} {:>13.2}",
             n, join_ms, cost_per_event_us, encodes, deliveries, clone_us
         );
-        entries.push(format!(
-            concat!(
-                "    {{\"audience\": {}, \"events\": {}, \"join_ms\": {:.1}, ",
-                "\"cost_per_event_us\": {:.2}, \"encodes\": {}, \"deliveries\": {}, ",
-                "\"clone_baseline_us\": {:.2}, \"slow_consumers_evicted\": 0}}"
-            ),
-            n, EVENTS, join_ms, cost_per_event_us, encodes, deliveries, clone_us
-        ));
         rows.push((n, cost_per_event_us));
         if n == *AUDIENCES.last().unwrap() {
             lecture = Some((srv, room, presenter, viewers));
@@ -2697,30 +1981,6 @@ fn e19_fanout() {
         "E19: presenter stalled {max_presenter_ms:.0} ms mid-storm (gate: < 250 ms)"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n  \"events_per_round\": {},\n  \"rounds\": {},\n  \"fanout\": [\n{}\n  ],\n",
-            "  \"sublinear_gate\": {{\"audience_factor\": {:.0}, \"cost_factor\": {:.2}, ",
-            "\"max_cost_factor\": {:.0}}},\n",
-            "  \"join_storm\": {{\"joiners\": {}, \"snapshot_resyncs\": {}, ",
-            "\"storm_ms\": {:.0}, \"snapshot_cache_hits\": {}, \"snapshot_cache_misses\": {}, ",
-            "\"max_presenter_broadcast_ms\": {:.2}, \"event_loss\": 0}}\n}}\n"
-        ),
-        EVENTS,
-        ROUNDS,
-        entries.join(",\n"),
-        audience_factor,
-        cost_factor,
-        0.5 * audience_factor,
-        STORM,
-        STORM,
-        storm_ms,
-        cache_hits,
-        cache_misses,
-        max_presenter_ms
-    );
-    std::fs::write("BENCH_fanout.json", &json).expect("write BENCH_fanout.json");
-    println!("wrote BENCH_fanout.json ({} bytes)", json.len());
     println!(
         "(one encode per event at every audience size; the 10k room pays pointers, not payloads)"
     );
@@ -2730,15 +1990,16 @@ fn e19_fanout() {
 /// threads through the group-commit pipeline, against the old
 /// checkpoint-per-commit (eager) baseline, plus a reader-starvation probe.
 ///
-/// A [`SlowSyncBackend`] charges a fixed latency per fsync, modelling the
-/// spinning-disk commit bottleneck: with early lock release one WAL sync
-/// covers every commit published while the sync was in flight, so
-/// throughput must scale with writers even though each acknowledged commit
-/// still waits for durability. The probe runs a snapshot reader full-tilt
-/// while 4 writers hammer commits; its p99 proves reads ride the committed
-/// snapshot instead of the writer lock. Writes `BENCH_storage_scale.json`;
-/// the run aborts unless throughput scales >= 2x from 1 to 4 writers (the
-/// CI gate).
+/// A [`rcmo::storage::SlowSyncBackend`] charges a fixed latency per fsync,
+/// modelling the spinning-disk commit bottleneck: with early lock release
+/// one WAL sync covers every commit published while the sync was in flight,
+/// so committed transactions per sync — a count, where the throughput ratio
+/// printed beside it is one wall-clock sample — must rise with writers even
+/// though each acknowledged commit still waits for durability. The probe
+/// runs a snapshot reader full-tilt while 4 writers hammer commits; its p99
+/// proves reads ride the committed snapshot instead of the writer lock. The
+/// run aborts unless 4 group-commit writers share each sync at least two
+/// ways (the CI gate).
 fn e20_storage_scale() {
     use rcmo::storage::{
         Column, ColumnType, Database, DbOptions, MemBackend, RowValue, Schema, SlowSyncBackend,
@@ -2822,15 +2083,13 @@ fn e20_storage_scale() {
         let txns = writers * TXNS_PER_WRITER;
         let mut tx = db.begin().unwrap();
         assert_eq!(tx.count("e20").unwrap(), txns, "lost commits");
+        let wal_syncs = wal_syncs.load(Ordering::Relaxed) - syncs_before;
+        assert!(wal_syncs > 0, "E20: commits acknowledged with no WAL sync");
         RunResult {
             txns,
             wall,
-            wal_syncs: wal_syncs.load(Ordering::Relaxed) - syncs_before,
+            wal_syncs,
         }
-    }
-
-    fn quantile(sorted: &[u64], q: f64) -> u64 {
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
     }
 
     println!(
@@ -2843,8 +2102,8 @@ fn e20_storage_scale() {
         "mode", "writers", "txns/s", "wal syncs", "txns/sync", "scaling"
     );
 
-    let mut entries = Vec::new();
-    let mut grouped: Vec<(usize, f64)> = Vec::new();
+    // (writers, txns/s, txns per WAL sync) of each group-commit run.
+    let mut grouped: Vec<(usize, f64, f64)> = Vec::new();
     let mut eager_4 = 0.0f64;
     for (mode_name, eager, threads) in [
         ("eager", true, 1usize),
@@ -2855,40 +2114,22 @@ fn e20_storage_scale() {
     ] {
         let r = run_writers(eager, threads);
         let thr = r.txns as f64 / r.wall.as_secs_f64();
-        let base = grouped.first().map(|&(_, t)| t);
+        let per_sync = r.txns as f64 / r.wal_syncs as f64;
+        let base = grouped.first().map(|&(_, t, _)| t);
         let scaling = if eager {
             1.0
         } else {
             base.map_or(1.0, |b| thr / b)
         };
         if !eager {
-            grouped.push((threads, thr));
+            grouped.push((threads, thr, per_sync));
         } else if threads == 4 {
             eager_4 = thr;
         }
         println!(
             "{:<14} {:>8} {:>12.0} {:>11} {:>12.1} {:>8.2}x",
-            mode_name,
-            threads,
-            thr,
-            r.wal_syncs,
-            r.txns as f64 / r.wal_syncs.max(1) as f64,
-            scaling
+            mode_name, threads, thr, r.wal_syncs, per_sync, scaling
         );
-        entries.push(format!(
-            concat!(
-                "    {{\"mode\": \"{}\", \"writers\": {}, \"txns\": {}, ",
-                "\"wall_ms\": {:.1}, \"throughput_txns_s\": {:.0}, ",
-                "\"wal_syncs\": {}, \"scaling_vs_1_writer\": {:.3}}}"
-            ),
-            mode_name,
-            threads,
-            r.txns,
-            r.wall.as_secs_f64() * 1e3,
-            thr,
-            r.wal_syncs,
-            scaling
-        ));
     }
 
     // Reader-starvation probe: one reader scans as fast as it can while 4
@@ -2946,45 +2187,19 @@ fn e20_storage_scale() {
          p50 {read_p50} µs, p99 {read_p99} µs"
     );
 
-    let thr_of = |threads: usize| {
-        grouped
-            .iter()
-            .find(|&&(t, _)| t == threads)
-            .map(|&(_, thr)| thr)
-            .unwrap()
-    };
-    let scaling_1_to_4 = thr_of(4) / thr_of(1);
-    let vs_eager_4 = thr_of(4) / eager_4;
+    let of = |writers: usize| *grouped.iter().find(|g| g.0 == writers).unwrap();
+    let ((_, thr_1, _), (_, thr_4, per_sync_4)) = (of(1), of(4));
     println!(
-        "group-commit scaling 1->4 writers: {scaling_1_to_4:.2}x (gate: >= 2x); \
-         vs eager baseline at 4 writers: {vs_eager_4:.2}x"
+        "group commit at 4 writers: {per_sync_4:.1} txns/sync (gate: >= 2.0); \
+         throughput {:.2}x of 1 writer, {:.2}x of the eager baseline at 4 writers",
+        thr_4 / thr_1,
+        thr_4 / eager_4
     );
-
-    let json = format!(
-        concat!(
-            "{{\n  \"txns_per_writer\": {},\n  \"sync_latency_us\": {},\n",
-            "  \"group_commit_window_us\": {},\n  \"runs\": [\n{}\n  ],\n",
-            "  \"reader_probe\": {{\"reads\": {}, \"p50_us\": {}, \"p99_us\": {}}},\n",
-            "  \"scaling_1_to_4_writers\": {:.3},\n",
-            "  \"vs_eager_at_4_writers\": {:.3}\n}}\n"
-        ),
-        TXNS_PER_WRITER,
-        SYNC_LATENCY.as_micros(),
-        WINDOW.as_micros(),
-        entries.join(",\n"),
-        reads,
-        read_p50,
-        read_p99,
-        scaling_1_to_4,
-        vs_eager_4
-    );
-    std::fs::write("BENCH_storage_scale.json", &json).expect("write BENCH_storage_scale.json");
-    println!("wrote BENCH_storage_scale.json ({} bytes)", json.len());
 
     assert!(
-        scaling_1_to_4 >= 2.0,
-        "E20: commit throughput scaled only {scaling_1_to_4:.2}x from 1 to 4 \
-         writers (gate: >= 2x)"
+        per_sync_4 >= 2.0,
+        "E20: 4 group-commit writers shared each WAL sync only {per_sync_4:.1} ways \
+         (gate: >= 2.0 txns/sync)"
     );
     assert!(
         reads > 0 && read_p99 < 250_000,
@@ -3003,7 +2218,7 @@ fn e20_storage_scale() {
 /// acked-event loss across failover, bounded queues, storage integrity
 /// after every crash, no dead histograms), every registered persona kind
 /// must have executed, and a same-seed double run of the small scenario
-/// must be byte-identical. Writes `BENCH_sim.json`.
+/// must be byte-identical.
 fn e21_sim() {
     use rcmo_sim::{SimConfig, Simulator};
 
@@ -3066,64 +2281,6 @@ fn e21_sim() {
         report.trace_len, report.trace_fingerprint
     );
 
-    // Export before gating so a red run still leaves the evidence behind.
-    let actions = report
-        .actions
-        .iter()
-        .map(|(k, v)| format!("    \"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| format!("    {:?}", v))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"seed\": {},\n",
-            "  \"rooms\": {},\n",
-            "  \"actors\": {},\n",
-            "  \"events_executed\": {},\n",
-            "  \"horizon_s\": {},\n",
-            "  \"epochs\": {},\n",
-            "  \"wall_ms\": {},\n",
-            "  \"trace_lines\": {},\n",
-            "  \"trace_fingerprint\": \"{:016x}\",\n",
-            "  \"kills\": {},\n",
-            "  \"failovers\": {},\n",
-            "  \"migrations\": {},\n",
-            "  \"resyncs\": {},\n",
-            "  \"crash_drills\": {},\n",
-            "  \"crash_failures\": {},\n",
-            "  \"actions\": {{\n{}\n  }},\n",
-            "  \"violations\": [\n{}\n  ],\n",
-            "  \"metrics\": {}\n",
-            "}}\n"
-        ),
-        report.seed,
-        report.rooms,
-        report.actors,
-        report.events_executed,
-        report.horizon_s,
-        report.epochs,
-        wall_ms,
-        report.trace_len,
-        report.trace_fingerprint,
-        report.kills,
-        report.failovers,
-        report.migrations,
-        report.resyncs,
-        report.crash_drills,
-        report.crash_failures,
-        actions,
-        violations,
-        report.merged_metrics.to_json().trim_end()
-    );
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
-    println!("wrote BENCH_sim.json ({} bytes)", json.len());
-
     // Gates.
     assert!(
         report.violations.is_empty(),
@@ -3166,8 +2323,6 @@ fn e21_sim() {
 ///    cache absorbs every repeat fetch,
 /// 3. every delivery of the layered stream chose a depth from its real
 ///    prefix ladder (`server.delivery.full_payload.count` stays 0).
-///
-/// Writes `BENCH_delivery.json`.
 fn e22_delivery() {
     use rcmo_server::DeliveryConfig;
 
@@ -3257,11 +2412,6 @@ fn e22_delivery() {
         }
     }
 
-    fn pctl(samples: &mut [f64], q: f64) -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite TTFR"));
-        samples[((samples.len() - 1) as f64 * q).round() as usize]
-    }
-
     println!(
         "{viewers} viewers in {ROOMS} rooms, one {full_bytes}-byte \
          {total_layers}-layer CT, {TTFR_BUDGET_S} s render budget\n"
@@ -3270,30 +2420,27 @@ fn e22_delivery() {
         "{:<12} {:>7} {:>11} {:>11} {:>13} {:>13}",
         "link class", "viewers", "avg layers", "full depth", "adaptive p99", "fixed p99"
     );
-    let mut class_rows = Vec::new();
-    for (ci, (name, _, _)) in classes.iter().enumerate() {
-        let c = &mut stats[ci];
+    for (c, (name, _, _)) in stats.iter_mut().zip(&classes) {
+        c.adaptive.sort_by(f64::total_cmp);
+        c.fixed.sort_by(f64::total_cmp);
         let n = c.adaptive.len();
-        let avg_layers = c.layers as f64 / n as f64;
-        let a_p99 = pctl(&mut c.adaptive, 0.99);
-        let f_p99 = pctl(&mut c.fixed, 0.99);
         println!(
             "{:<12} {:>7} {:>11.2} {:>11} {:>12.3}s {:>12.3}s",
-            name, n, avg_layers, c.full_depth, a_p99, f_p99
+            name,
+            n,
+            c.layers as f64 / n as f64,
+            c.full_depth,
+            quantile(&c.adaptive, 0.99),
+            quantile(&c.fixed, 0.99)
         );
-        class_rows.push(format!(
-            concat!(
-                "    {{\"class\": \"{}\", \"viewers\": {}, \"avg_layers\": {:.3}, ",
-                "\"full_depth\": {}, \"adaptive_p99_s\": {:.6}, \"fixed_p99_s\": {:.6}}}"
-            ),
-            name, n, avg_layers, c.full_depth, a_p99, f_p99
-        ));
     }
 
     let mut all_adaptive: Vec<f64> = stats.iter().flat_map(|c| c.adaptive.clone()).collect();
     let mut all_fixed: Vec<f64> = stats.iter().flat_map(|c| c.fixed.clone()).collect();
-    let (a_p50, a_p99) = (pctl(&mut all_adaptive, 0.5), pctl(&mut all_adaptive, 0.99));
-    let (f_p50, f_p99) = (pctl(&mut all_fixed, 0.5), pctl(&mut all_fixed, 0.99));
+    all_adaptive.sort_by(f64::total_cmp);
+    all_fixed.sort_by(f64::total_cmp);
+    let (a_p50, a_p99) = (quantile(&all_adaptive, 0.5), quantile(&all_adaptive, 0.99));
+    let (f_p50, f_p99) = (quantile(&all_fixed, 0.5), quantile(&all_fixed, 0.99));
 
     let snap = srv.metrics();
     let misses = snap.counters["server.delivery.cache.miss.count"];
@@ -3308,44 +2455,6 @@ fn e22_delivery() {
         "cache: {misses} storage reads for {viewers} deliveries ({hits} hits), \
          {saved} bytes saved vs full quality"
     );
-
-    // Export before gating so a red run still leaves the evidence behind.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"viewers\": {},\n",
-            "  \"rooms\": {},\n",
-            "  \"full_bytes\": {},\n",
-            "  \"total_layers\": {},\n",
-            "  \"ttfr_budget_s\": {},\n",
-            "  \"adaptive_p50_s\": {:.6},\n",
-            "  \"adaptive_p99_s\": {:.6},\n",
-            "  \"fixed_p50_s\": {:.6},\n",
-            "  \"fixed_p99_s\": {:.6},\n",
-            "  \"cache_misses\": {},\n",
-            "  \"cache_hits\": {},\n",
-            "  \"saved_bytes\": {},\n",
-            "  \"full_payload_fallbacks\": {},\n",
-            "  \"classes\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        viewers,
-        ROOMS,
-        full_bytes,
-        total_layers,
-        TTFR_BUDGET_S,
-        a_p50,
-        a_p99,
-        f_p50,
-        f_p99,
-        misses,
-        hits,
-        saved,
-        full_payloads,
-        class_rows.join(",\n")
-    );
-    std::fs::write("BENCH_delivery.json", &json).expect("write BENCH_delivery.json");
-    println!("wrote BENCH_delivery.json ({} bytes)", json.len());
 
     // Gates.
     assert!(

@@ -1,5 +1,5 @@
-//! Shared workload builders for the Criterion benches and the
-//! figure-regeneration `experiments` binary.
+//! Shared workload builders for the figure-regeneration `experiments`
+//! binary.
 
 #![forbid(unsafe_code)]
 

@@ -132,37 +132,6 @@ pub fn random_net(spec: &RandomNetSpec) -> CpNet {
     net
 }
 
-/// Generates a random *tree* network: variable `vi` (i > 0) has the single
-/// parent `v⌊(i-1)/2⌋` (a complete binary tree). The complement of
-/// [`chain_net`] for benchmarks: shallow depth, wide fan-out, so a change at
-/// an inner node dirties a subtree rather than a suffix.
-pub fn tree_net(vars: usize, domain: usize, seed: u64) -> CpNet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = CpNet::new();
-    let mut ids: Vec<VarId> = Vec::with_capacity(vars);
-    for i in 0..vars {
-        let names: Vec<String> = (0..domain).map(|d| format!("v{i}_{d}")).collect();
-        let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let v = net.add_variable(&format!("v{i}"), &name_refs).unwrap();
-        if i == 0 {
-            let mut order: Vec<Value> = (0..domain as u16).map(Value).collect();
-            order.shuffle(&mut rng);
-            net.set_unconditional(v, &order).unwrap();
-        } else {
-            let p = ids[(i - 1) / 2];
-            net.set_parents(v, &[p]).unwrap();
-            for pv in 0..domain as u16 {
-                let mut order: Vec<Value> = (0..domain as u16).map(Value).collect();
-                order.shuffle(&mut rng);
-                net.set_preference(v, &[(p, Value(pv))], &order).unwrap();
-            }
-        }
-        ids.push(v);
-    }
-    net.validate().unwrap();
-    net
-}
-
 /// Generates a random *chain* network `v0 → v1 → … → v(n-1)`; useful for
 /// benchmarks where depth (not branching) is the variable of interest.
 pub fn chain_net(vars: usize, domain: usize, seed: u64) -> CpNet {

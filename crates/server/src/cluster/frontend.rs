@@ -61,13 +61,6 @@ pub struct ClusterConfig {
     /// here are how an experiment injects deterministic shard stalls and
     /// partitions.
     pub heartbeat_faults: Vec<FaultSpec>,
-    /// Modeled service time of a single-threaded reflector event loop
-    /// (0 = no model, the default: routed calls take no shard-wide lock).
-    /// When set, every routed data-plane call first queues on its shard's
-    /// ingress mutex and holds it for this long plus the call itself. Only
-    /// E18 sets it, to make a one-daemon-per-shard bottleneck explicit the
-    /// way E17 models the slow CT decode.
-    pub ingress_service_us: u64,
     /// Bounded retry budget for routed calls that hit a migrating room or
     /// an unhealthy shard.
     pub route_retries: u32,
@@ -95,7 +88,6 @@ impl ClusterConfig {
             dead_after_missed: 4,
             control_link: Link::new(10_000_000.0, 0.005),
             heartbeat_faults: Vec::new(),
-            ingress_service_us: 0,
             route_retries: 64,
             route_backoff_base_us: 50,
             route_backoff_cap_us: 2_000,
@@ -145,19 +137,11 @@ impl ClusterStats {
     }
 }
 
-struct Shard {
-    server: InteractionServer,
-    /// The service-time model's single-threaded "reflector event loop":
-    /// taken by `route` only when [`ClusterConfig::ingress_service_us`]
-    /// is set. Guards no data.
-    ingress: Mutex<()>,
-}
-
 /// The sharded interaction cluster of ROADMAP item 1: a room directory
 /// over N shards, heartbeat failure detection in virtual time, live room
 /// migration, and zero-event-loss failover.
 pub struct ClusterFrontend {
-    shards: Vec<Shard>,
+    shards: Vec<InteractionServer>,
     directory: RwLock<RoomDirectory>,
     health: Mutex<HealthTracker>,
     journals: Mutex<HashMap<RoomId, RoomJournal>>,
@@ -175,7 +159,6 @@ pub struct ClusterFrontend {
     failover_rooms: Counter,
     failover_lossy: Counter,
     failover_lat: Histogram,
-    ingress_wait: Histogram,
     journal_compactions: Counter,
     journal_evicted: Counter,
     journal_compact_lossy: Counter,
@@ -217,10 +200,7 @@ impl ClusterFrontend {
             config.dead_after_missed,
         );
         let shards = (0..config.shards)
-            .map(|_| Shard {
-                server: InteractionServer::new_with_clock(db.clone(), clock.clone()),
-                ingress: Mutex::new(()),
-            })
+            .map(|_| InteractionServer::new_with_clock(db.clone(), clock.clone()))
             .collect();
         let shard_health_gauges = (0..config.shards)
             .map(|s| obs.gauge(&format!("cluster.shard.{s}.health")))
@@ -239,7 +219,6 @@ impl ClusterFrontend {
             failover_rooms: obs.counter("cluster.failover.room.count"),
             failover_lossy: obs.counter("cluster.failover.lossy.count"),
             failover_lat: obs.histogram("cluster.failover.room.us", bounds::LATENCY_US),
-            ingress_wait: obs.histogram("cluster.shard.ingress.wait.us", bounds::LATENCY_US),
             journal_compactions: obs.counter("cluster.journal.compact.count"),
             journal_evicted: obs.counter("cluster.journal.evicted.count"),
             journal_compact_lossy: obs.counter("cluster.journal.compact.lossy.count"),
@@ -259,7 +238,7 @@ impl ClusterFrontend {
     /// Direct access to a shard's server (tests and experiments; normal
     /// traffic goes through the routed API).
     pub fn shard_server(&self, shard: ShardId) -> &InteractionServer {
-        &self.shards[shard].server
+        &self.shards[shard]
     }
 
     /// The failure detector's virtual clock.
@@ -343,19 +322,17 @@ impl ClusterFrontend {
             if self.shard_health(shard) == ShardHealth::Dead {
                 // The ring still lists a dead-but-not-failed-over shard:
                 // place on the first survivor instead.
-                let fallback = *self
-                    .surviving_shards()
-                    .first()
-                    .ok_or_else(|| ServerError::Invalid("no live shards left".into()))?;
+                let Some(&fallback) = self.surviving_shards().first() else {
+                    dir.remove_room(id);
+                    return Err(ServerError::Invalid("no live shards left".into()));
+                };
                 dir.complete_migration(id, fallback);
                 shard = fallback;
             }
             shard
         };
         let result = (|| {
-            self.shards[shard]
-                .server
-                .create_room_with_id(id, user, name, document_id, config)?;
+            self.shards[shard].create_room_with_id(id, user, name, document_id, config)?;
             self.attach_journal(id, shard)
         })();
         match result {
@@ -374,7 +351,7 @@ impl ClusterFrontend {
     /// a fresh checkpoint. Control-plane: runs beside routed calls on the
     /// same room-lock discipline they use.
     fn attach_journal(&self, room: RoomId, shard: ShardId) -> Result<()> {
-        let server = &self.shards[shard].server;
+        let server = &self.shards[shard];
         let (tx, rx) = unbounded();
         server.tap_room(room, tx)?;
         let checkpoint = {
@@ -448,7 +425,7 @@ impl ClusterFrontend {
     /// Closes a room cluster-wide: shard, directory, and journal.
     pub fn close_room(&self, room: RoomId) -> Result<()> {
         let shard = self.shard_of(room)?;
-        self.shards[shard].server.close_room(room)?;
+        self.shards[shard].close_room(room)?;
         self.directory.write().remove_room(room);
         self.journals.lock().remove(&room);
         self.rooms_gauge.set(self.directory.read().len() as i64);
@@ -460,7 +437,7 @@ impl ClusterFrontend {
     pub fn reap_empty_rooms(&self) -> Vec<RoomId> {
         let mut all = Vec::new();
         for s in self.surviving_shards() {
-            all.extend(self.shards[s].server.reap_empty_rooms());
+            all.extend(self.shards[s].reap_empty_rooms());
         }
         let mut dir = self.directory.write();
         let mut journals = self.journals.lock();
@@ -507,18 +484,7 @@ impl ClusterFrontend {
                 }
                 Some(Placement::OnShard(shard)) => {
                     if self.shard_health(shard) == ShardHealth::Alive {
-                        let s = &self.shards[shard];
-                        // E18's service-time model only: the call queues
-                        // on, and holds, the shard's one-daemon mutex.
-                        let _ingress = (self.config.ingress_service_us > 0).then(|| {
-                            let queued = self.clock.now_us();
-                            let guard = s.ingress.lock();
-                            self.ingress_wait
-                                .record(self.clock.now_us().saturating_sub(queued));
-                            self.clock.sleep_us(self.config.ingress_service_us);
-                            guard
-                        });
-                        match f(&s.server) {
+                        match f(&self.shards[shard]) {
                             // The room left this shard between lookup and
                             // call (migration raced us): transient.
                             Err(e @ ServerError::UnknownRoom(r))
@@ -793,7 +759,7 @@ impl ClusterFrontend {
     pub fn broadcast_announcement(&self, user: &str, text: &str) -> Result<usize> {
         let mut reached = 0;
         for s in self.surviving_shards() {
-            reached += self.shards[s].server.broadcast_announcement(user, text)?;
+            reached += self.shards[s].broadcast_announcement(user, text)?;
         }
         Ok(reached)
     }
@@ -835,10 +801,10 @@ impl ClusterFrontend {
                     room,
                 });
             }
-            let src = &self.shards[source].server;
+            let src = &self.shards[source];
             src.freeze_room_for_migration(room)?;
             let detached = src.detach_room(room)?;
-            self.shards[target].server.adopt_room(detached)?;
+            self.shards[target].adopt_room(detached)?;
             // The journal's new checkpoint is the adopted room's state —
             // it subsumes everything replicated so far.
             self.attach_journal(room, target)
@@ -854,7 +820,7 @@ impl ClusterFrontend {
             Err(e) => {
                 // Roll back what we can: thaw if the room is still on the
                 // source, and restore its directory entry.
-                let _ = self.shards[source].server.thaw_room(room);
+                let _ = self.shards[source].thaw_room(room);
                 self.directory.write().complete_migration(room, source);
                 Err(e)
             }
@@ -911,13 +877,11 @@ impl ClusterFrontend {
                     fallback
                 }
             };
-            self.shards[target]
-                .server
-                .adopt_room(crate::server::DetachedRoom {
-                    id: room,
-                    state,
-                    members: Vec::new(),
-                })?;
+            self.shards[target].adopt_room(crate::server::DetachedRoom {
+                id: room,
+                state,
+                members: Vec::new(),
+            })?;
             self.attach_journal(room, target)?;
             self.failover_rooms.inc();
             self.failover_lossy.add(lossy);

@@ -774,8 +774,8 @@ impl InteractionServer {
     }
 
     /// Registers a dynamic event trigger in a room; the owner (and every
-    /// other partner) receives a [`RoomEvent::TriggerFired`] whenever the
-    /// condition matches a subsequent room event.
+    /// other partner) receives a [`crate::events::RoomEvent::TriggerFired`]
+    /// whenever the condition matches a subsequent room event.
     pub fn add_trigger(
         &self,
         room: RoomId,

@@ -24,7 +24,7 @@
 //!   acked-event loss across failover, bounded queues, storage integrity
 //!   after every crash, no dead histograms, full persona coverage.
 //! * [`sim`] — the engine: one event heap, epoch maintenance, and the
-//!   [`SimReport`] the E21 experiment exports as `BENCH_sim.json`.
+//!   [`SimReport`] the E21 experiment prints and gates on.
 //!
 //! The headline property: **same seed ⇒ byte-identical trace and metrics
 //! text**. Everything time-like runs on [`rcmo_obs::SimClock`]; the

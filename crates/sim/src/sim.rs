@@ -371,9 +371,8 @@ impl Simulator {
             metrics_text.push_str(&format!("## shard {s}\n{}", snap.to_text()));
         }
 
-        // The frontend's guarded instrument is its lookup counter: the
-        // ingress-wait histogram only fills under E18's service-time model,
-        // which the simulator never sets.
+        // The frontend's guarded instrument is its lookup counter: its
+        // histograms fill only when a migration or failover happens.
         let mut required: Vec<&str> = vec![
             "cluster.directory.lookup.count",
             "server.room.broadcast.us",

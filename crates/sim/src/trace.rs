@@ -42,7 +42,7 @@ impl EventTrace {
     }
 
     /// FNV-1a fingerprint of the trace text: the compact determinism
-    /// witness exported in `BENCH_sim.json`.
+    /// witness E21 prints.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for line in &self.lines {
