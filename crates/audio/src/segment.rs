@@ -9,6 +9,7 @@
 use crate::features::{extract_features, FeatureConfig};
 use crate::gmm::DiagGmm;
 use crate::synth::{self, SynthConfig, VoiceProfile};
+use rcmo_obs::wire::{Reader, Writer};
 use std::ops::Range;
 
 /// The classes the segmenter distinguishes.
@@ -200,36 +201,30 @@ pub fn segment_audio(model: &SegmenterModel, samples: &[f64]) -> Vec<Segment> {
 /// Serialises segments for storage in an audio object's `FLD_SECTORS`
 /// BLOB: `u32 count | per segment: u32 start, u32 end, u8 class`.
 pub fn encode_segments(segments: &[Segment]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + segments.len() * 9);
-    out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+    let mut w = Writer::with_capacity(4 + segments.len() * 9);
+    w.u32(segments.len() as u32);
     for s in segments {
-        out.extend_from_slice(&(s.frames.start as u32).to_le_bytes());
-        out.extend_from_slice(&(s.frames.end as u32).to_le_bytes());
-        out.push(match s.class {
+        w.u32(s.frames.start as u32);
+        w.u32(s.frames.end as u32);
+        w.u8(match s.class {
             AudioClass::Silence => 0,
             AudioClass::Noise => 1,
             AudioClass::Speech => 2,
             AudioClass::Music => 3,
         });
     }
-    out
+    w.into_bytes()
 }
 
 /// Reverses [`encode_segments`]. Returns `None` on malformed input.
 pub fn decode_segments(bytes: &[u8]) -> Option<Vec<Segment>> {
-    if bytes.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(bytes[..4].try_into().ok()?) as usize;
-    if bytes.len() != 4 + count * 9 {
-        return None;
-    }
+    let mut r = Reader::new(bytes);
+    let count = r.count32(9).ok()?;
     let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let base = 4 + i * 9;
-        let start = u32::from_le_bytes(bytes[base..base + 4].try_into().ok()?) as usize;
-        let end = u32::from_le_bytes(bytes[base + 4..base + 8].try_into().ok()?) as usize;
-        let class = match bytes[base + 8] {
+    for _ in 0..count {
+        let start = r.u32().ok()? as usize;
+        let end = r.u32().ok()? as usize;
+        let class = match r.u8().ok()? {
             0 => AudioClass::Silence,
             1 => AudioClass::Noise,
             2 => AudioClass::Speech,
@@ -244,6 +239,7 @@ pub fn decode_segments(bytes: &[u8]) -> Option<Vec<Segment>> {
             class,
         });
     }
+    r.finish().ok()?;
     Some(out)
 }
 

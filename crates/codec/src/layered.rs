@@ -19,6 +19,7 @@ use crate::packet;
 use crate::plane::Plane;
 use crate::quant::{dequantize, quantize};
 use rcmo_imaging::GrayImage;
+use rcmo_obs::wire::{Reader, WireError, Writer};
 use std::fmt;
 
 /// Errors raised by the layered codec.
@@ -44,6 +45,12 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        CodecError::Malformed(e.to_string())
+    }
+}
 
 /// Which wavelet filters the main approximation.
 pub type Wavelet = haar::Kind;
@@ -189,6 +196,8 @@ pub type LayeredHeader = StreamInfo;
 
 const MAGIC: &[u8; 4] = b"LIC1";
 const LAYER_HEADER: usize = 1 + 8 + 4;
+/// Deepest wavelet decomposition the encoder writes and the decoder reads.
+const MAX_LEVELS: usize = 8;
 
 fn padded_dims(w: usize, h: usize, levels: usize) -> (usize, usize) {
     let unit = (1usize << levels).max(packet::TILE).max(dct::N);
@@ -261,7 +270,7 @@ pub fn encode(img: &GrayImage, cfg: &EncoderConfig) -> Result<Vec<u8>, CodecErro
     static LAT: rcmo_obs::LazyHistogram =
         rcmo_obs::LazyHistogram::new("codec.encode.us", rcmo_obs::bounds::LATENCY_US);
     let _t = LAT.start_timer();
-    if cfg.levels == 0 || cfg.levels > 8 {
+    if cfg.levels == 0 || cfg.levels > MAX_LEVELS {
         return Err(CodecError::BadConfig(format!("levels = {}", cfg.levels)));
     }
     if cfg.main_step <= 0.0 || cfg.residual_layers.iter().any(|l| l.step <= 0.0) {
@@ -275,68 +284,65 @@ pub fn encode(img: &GrayImage, cfg: &EncoderConfig) -> Result<Vec<u8>, CodecErro
     let (pw, ph) = padded_dims(img.width(), img.height(), cfg.levels);
     let padded = Plane::from_image(img).pad_to(pw, ph);
 
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(img.width() as u16).to_le_bytes());
-    out.extend_from_slice(&(img.height() as u16).to_le_bytes());
-    out.push(match cfg.wavelet {
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
+    w.u16(img.width() as u16);
+    w.u16(img.height() as u16);
+    w.u8(match cfg.wavelet {
         Wavelet::Haar => 0,
         Wavelet::Cdf53 => 1,
     });
-    out.push(cfg.levels as u8);
-    out.push((1 + cfg.residual_layers.len()) as u8);
+    w.u8(cfg.levels as u8);
+    w.u8((1 + cfg.residual_layers.len()) as u8);
 
     let (main_bytes, mut recon) = encode_main(&padded, cfg);
-    push_layer(&mut out, 0, cfg.main_step, &main_bytes);
+    write_section(&mut w, 0, cfg.main_step, &main_bytes);
 
     for spec in &cfg.residual_layers {
         let residual = padded.sub(&recon);
         let (bytes, layer_recon) = encode_residual(&residual, spec);
         recon.add_assign(&layer_recon);
-        push_layer(&mut out, spec.basis.tag(), spec.step, &bytes);
+        write_section(&mut w, spec.basis.tag(), spec.step, &bytes);
     }
-    Ok(out)
+    Ok(w.into_bytes())
 }
 
-fn push_layer(out: &mut Vec<u8>, tag: u8, step: f64, payload: &[u8]) {
-    out.push(tag);
-    out.extend_from_slice(&step.to_bits().to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+fn write_section(w: &mut Writer, tag: u8, step: f64, payload: &[u8]) {
+    w.u8(tag);
+    w.f64(step);
+    w.bytes32(payload);
 }
 
 /// Parses the stream header and section table (tolerates truncation past the
 /// header: `layer_bytes` only lists sections whose *headers* are present).
 pub fn info(bytes: &[u8]) -> Result<StreamInfo, CodecError> {
-    if bytes.len() < 11 || &bytes[..4] != MAGIC {
-        return Err(CodecError::Malformed("missing LIC1 header".into()));
-    }
-    let width = u16::from_le_bytes([bytes[4], bytes[5]]) as usize;
-    let height = u16::from_le_bytes([bytes[6], bytes[7]]) as usize;
-    let wavelet = match bytes[8] {
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC)?;
+    let width = r.u16()? as usize;
+    let height = r.u16()? as usize;
+    let wavelet = match r.u8()? {
         0 => Wavelet::Haar,
         1 => Wavelet::Cdf53,
         t => return Err(CodecError::Malformed(format!("wavelet tag {t}"))),
     };
-    let levels = bytes[9] as usize;
-    let nlayers = bytes[10] as usize;
-    if width == 0 || height == 0 || levels == 0 || nlayers == 0 {
-        return Err(CodecError::Malformed("zero dimension in header".into()));
+    let levels = r.u8()? as usize;
+    let nlayers = r.u8()?;
+    if width == 0 || height == 0 || nlayers == 0 || !(1..=MAX_LEVELS).contains(&levels) {
+        return Err(CodecError::Malformed(format!(
+            "header: {width}x{height}, {levels} levels, {nlayers} layers"
+        )));
     }
     let mut layer_bytes = Vec::new();
-    let mut pos = 11usize;
     for _ in 0..nlayers {
-        if pos + LAYER_HEADER > bytes.len() {
+        if r.remaining() < LAYER_HEADER {
             break;
         }
-        let len = u32::from_le_bytes([
-            bytes[pos + 9],
-            bytes[pos + 10],
-            bytes[pos + 11],
-            bytes[pos + 12],
-        ]) as usize;
+        r.take(1 + 8)?; // basis tag and step, read by `sections`
+        let len = r.u32()? as usize;
         layer_bytes.push(len);
-        pos += LAYER_HEADER + len;
+        if r.take(len).is_err() {
+            break;
+        }
     }
     Ok(StreamInfo {
         width,
@@ -356,24 +362,15 @@ struct LayerSection<'a> {
 
 /// Collects the layer sections fully contained in `bytes`.
 fn sections<'a>(bytes: &'a [u8], si: &StreamInfo) -> Vec<LayerSection<'a>> {
-    let mut out = Vec::new();
-    let mut pos = si.header_bytes;
-    for &len in &si.layer_bytes {
-        if pos + LAYER_HEADER + len > bytes.len() {
-            break;
-        }
-        let tag = bytes[pos];
-        let step = f64::from_bits(u64::from_le_bytes(
-            bytes[pos + 1..pos + 9].try_into().expect("8 bytes"),
-        ));
-        out.push(LayerSection {
-            tag,
-            step,
-            payload: &bytes[pos + LAYER_HEADER..pos + LAYER_HEADER + len],
-        });
-        pos += LAYER_HEADER + len;
-    }
-    out
+    let mut r = Reader::new(bytes.get(si.header_bytes..).unwrap_or_default());
+    let mut section = || -> Result<LayerSection<'a>, WireError> {
+        Ok(LayerSection {
+            tag: r.u8()?,
+            step: r.f64()?,
+            payload: r.bytes32()?,
+        })
+    };
+    (0..si.num_layers()).map_while(|_| section().ok()).collect()
 }
 
 fn decode_main_plane(si: &StreamInfo, section: &LayerSection<'_>) -> Result<Plane, CodecError> {

@@ -17,78 +17,20 @@
 
 use super::{CpNet, CpTable, Ranking, Value, VarId, Variable};
 use crate::error::{CoreError, Result};
+use rcmo_obs::wire::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"CPN1";
 
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize);
-        self.u16(s.len() as u16);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(CoreError::Codec(format!(
-                "unexpected end of stream at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn str(&mut self) -> Result<String> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CoreError::Codec("invalid UTF-8 in string".to_string()))
-    }
-}
-
 /// Serialises `net` to bytes; see the module-level docs for the layout.
 pub fn encode_net(net: &CpNet) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(256),
-    };
-    w.buf.extend_from_slice(MAGIC);
+    let mut w = Writer::with_capacity(256);
+    w.bytes(MAGIC);
     w.u32(net.vars.len() as u32);
     for var in &net.vars {
-        w.str(&var.name);
+        w.str16(&var.name);
         w.u16(var.domain.len() as u16);
         for d in &var.domain {
-            w.str(d);
+            w.str16(d);
         }
     }
     for t in &net.tables {
@@ -104,21 +46,20 @@ pub fn encode_net(net: &CpNet) -> Vec<u8> {
             }
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Decodes bytes produced by [`encode_net`], re-validating all structural
 /// invariants (domains, permutations, parent references, row counts).
 pub fn decode_net(bytes: &[u8]) -> Result<CpNet> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(CoreError::Codec("bad magic; not a CPN1 stream".to_string()));
-    }
-    let nvars = r.u32()? as usize;
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC)?;
+    // Smallest variable: a name, a one-value domain, a parentless one-row table.
+    let nvars = r.count32(2 + 2 + 2 + (2 + 4 + 3))?;
     let mut vars = Vec::with_capacity(nvars);
     for _ in 0..nvars {
-        let name = r.str()?;
-        let ndom = r.u16()? as usize;
+        let name = r.str16()?;
+        let ndom = r.count16(2)?;
         if ndom == 0 {
             return Err(CoreError::Codec(format!(
                 "variable '{name}' has empty domain"
@@ -126,13 +67,13 @@ pub fn decode_net(bytes: &[u8]) -> Result<CpNet> {
         }
         let mut domain = Vec::with_capacity(ndom);
         for _ in 0..ndom {
-            domain.push(r.str()?);
+            domain.push(r.str16()?);
         }
         vars.push(Variable { name, domain });
     }
     let mut tables = Vec::with_capacity(nvars);
     for (i, var) in vars.iter().enumerate() {
-        let nparents = r.u16()? as usize;
+        let nparents = r.count16(4)?;
         let mut parents = Vec::with_capacity(nparents);
         for _ in 0..nparents {
             let p = r.u32()?;
@@ -146,15 +87,17 @@ pub fn decode_net(bytes: &[u8]) -> Result<CpNet> {
         }
         let parent_domains: Vec<usize> =
             parents.iter().map(|p| vars[p.idx()].domain.len()).collect();
-        let expected_rows: usize = parent_domains.iter().product::<usize>().max(1);
-        let nrows = r.u32()? as usize;
-        if nrows != expected_rows {
+        let dom = var.domain.len();
+        let nrows = r.count32(1 + 2 * dom)?;
+        let expected_rows = parent_domains
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d));
+        if expected_rows != Some(nrows) {
             return Err(CoreError::Codec(format!(
-                "variable '{}': stream has {nrows} rows, expected {expected_rows}",
+                "variable '{}': stream has {nrows} rows, not one per parent assignment",
                 var.name
             )));
         }
-        let dom = var.domain.len();
         let mut rows = Vec::with_capacity(nrows);
         let mut explicit = Vec::with_capacity(nrows);
         for _ in 0..nrows {
@@ -172,12 +115,7 @@ pub fn decode_net(bytes: &[u8]) -> Result<CpNet> {
             explicit,
         });
     }
-    if r.pos != bytes.len() {
-        return Err(CoreError::Codec(format!(
-            "{} trailing bytes after network",
-            bytes.len() - r.pos
-        )));
-    }
+    r.finish()?;
     // The wire format carries no cache identity: a decoded net is a fresh
     // instance (fresh uid, revision 0).
     let net = CpNet {

@@ -18,6 +18,7 @@
 
 use crate::cpnet::{CpNet, PreferenceNet, Value, VarId};
 use crate::error::{CoreError, Result};
+use rcmo_obs::wire::{Reader, Writer};
 
 /// Identifier of a component within one document (a dense index; component
 /// `i` is CP-net variable `i`).
@@ -763,73 +764,62 @@ impl MultimediaDocument {
     /// Serialises the document (structure + CP-net) to bytes for BLOB
     /// storage in the multimedia database.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(1024);
-        buf.extend_from_slice(b"MMD1");
-        write_str(&mut buf, &self.title);
-        buf.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(1024);
+        w.bytes(b"MMD1");
+        w.str16(&self.title);
+        w.u32(self.nodes.len() as u32);
         for n in &self.nodes {
-            write_str(&mut buf, &n.name);
-            buf.extend_from_slice(&n.parent.map(|p| p.0 + 1).unwrap_or(0).to_le_bytes());
-            buf.push(match n.kind {
+            w.str16(&n.name);
+            w.u32(n.parent.map(|p| p.0 + 1).unwrap_or(0));
+            w.u8(match n.kind {
                 ComponentKind::Composite => 0,
                 ComponentKind::Primitive => 1,
             });
             match &n.media {
-                MediaRef::None => buf.push(0),
+                MediaRef::None => w.u8(0),
                 MediaRef::Inline(bytes) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(bytes);
+                    w.u8(1);
+                    w.bytes32(bytes);
                 }
                 MediaRef::Stored {
                     media_type,
                     object_id,
                 } => {
-                    buf.push(2);
-                    write_str(&mut buf, media_type);
-                    buf.extend_from_slice(&object_id.to_le_bytes());
+                    w.u8(2);
+                    w.str16(media_type);
+                    w.u64(*object_id);
                 }
             }
-            buf.extend_from_slice(&(n.forms.len() as u16).to_le_bytes());
+            w.u16(n.forms.len() as u16);
             for f in &n.forms {
-                write_str(&mut buf, &f.name);
-                write_form_kind(&mut buf, &f.kind);
-                buf.extend_from_slice(&f.cost_bytes.to_le_bytes());
+                w.str16(&f.name);
+                write_form_kind(&mut w, &f.kind);
+                w.u64(f.cost_bytes);
             }
         }
-        let net_bytes = self.net.to_bytes();
-        buf.extend_from_slice(&(net_bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&net_bytes);
-        buf.extend_from_slice(&(self.derived.len() as u32).to_le_bytes());
+        w.bytes32(&self.net.to_bytes());
+        w.u32(self.derived.len() as u32);
         for d in &self.derived {
-            buf.extend_from_slice(&d.var.0.to_le_bytes());
-            buf.extend_from_slice(&d.component.0.to_le_bytes());
-            write_str(&mut buf, &d.operation);
-            buf.extend_from_slice(&(d.trigger_form as u32).to_le_bytes());
+            w.u32(d.var.0);
+            w.u32(d.component.0);
+            w.str16(&d.operation);
+            w.u32(d.trigger_form as u32);
         }
-        buf
+        w.into_bytes()
     }
 
     /// Reconstructs a document serialised with [`to_bytes`](Self::to_bytes)
     /// and re-validates it.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.take(4)? != b"MMD1" {
-            return Err(CoreError::Codec(
-                "bad magic; not an MMD1 stream".to_string(),
-            ));
-        }
-        let title = r.str()?;
-        let ncomponents = r.u32()? as usize;
+        let mut r = Reader::new(bytes);
+        r.magic(b"MMD1")?;
+        let title = r.str16()?;
+        // Smallest component: name, parent, kind, media tag, form count.
+        let ncomponents = r.count32(2 + 4 + 1 + 1 + 2)?;
         let mut nodes = Vec::with_capacity(ncomponents);
         for _ in 0..ncomponents {
-            let name = r.str()?;
-            let parent_raw = r.u32()?;
-            let parent = if parent_raw == 0 {
-                None
-            } else {
-                Some(ComponentId(parent_raw - 1))
-            };
+            let name = r.str16()?;
+            let parent = r.u32()?.checked_sub(1).map(ComponentId);
             let kind = match r.u8()? {
                 0 => ComponentKind::Composite,
                 1 => ComponentKind::Primitive,
@@ -837,26 +827,21 @@ impl MultimediaDocument {
             };
             let media = match r.u8()? {
                 0 => MediaRef::None,
-                1 => {
-                    let len = r.u32()? as usize;
-                    MediaRef::Inline(r.take(len)?.to_vec())
-                }
+                1 => MediaRef::Inline(r.bytes32()?.to_vec()),
                 2 => MediaRef::Stored {
-                    media_type: r.str()?,
+                    media_type: r.str16()?,
                     object_id: r.u64()?,
                 },
                 m => return Err(CoreError::Codec(format!("bad media tag {m}"))),
             };
-            let nforms = r.u16()? as usize;
+            // Smallest form: name, kind tag, cost.
+            let nforms = r.count16(2 + 1 + 8)?;
             let mut forms = Vec::with_capacity(nforms);
             for _ in 0..nforms {
-                let fname = r.str()?;
-                let kind = read_form_kind(&mut r)?;
-                let cost = r.u64()?;
                 forms.push(PresentationForm {
-                    name: fname,
-                    kind,
-                    cost_bytes: cost,
+                    name: r.str16()?,
+                    kind: read_form_kind(&mut r)?,
+                    cost_bytes: r.u64()?,
                 });
             }
             nodes.push(ComponentNode {
@@ -878,23 +863,24 @@ impl MultimediaDocument {
                 nodes[p.idx()].children.push(child);
             }
         }
-        let net_len = r.u32()? as usize;
-        let net = CpNet::from_bytes(r.take(net_len)?)?;
-        let nderived = r.u32()? as usize;
+        let net = CpNet::from_bytes(r.bytes32()?)?;
+        if net.len() < nodes.len() {
+            return Err(CoreError::Codec(
+                "fewer CP-net variables than components".into(),
+            ));
+        }
+        // A derived variable: var, component, operation, trigger form.
+        let nderived = r.count32(4 + 4 + 2 + 4)?;
         let mut derived = Vec::with_capacity(nderived);
         for _ in 0..nderived {
-            let var = VarId(r.u32()?);
-            let component = ComponentId(r.u32()?);
-            let operation = r.str()?;
-            let trigger_form = r.u32()? as usize;
             derived.push(DerivedVar {
-                var,
-                component,
-                operation,
-                trigger_form,
+                var: VarId(r.u32()?),
+                component: ComponentId(r.u32()?),
+                operation: r.str16()?,
+                trigger_form: r.u32()? as usize,
             });
         }
-        r.expect_end()?;
+        r.finish()?;
         let doc = MultimediaDocument {
             title,
             nodes,
@@ -906,31 +892,26 @@ impl MultimediaDocument {
     }
 }
 
-fn write_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn write_form_kind(buf: &mut Vec<u8>, kind: &FormKind) {
+fn write_form_kind(w: &mut Writer, kind: &FormKind) {
     match kind {
-        FormKind::Hidden => buf.push(0),
-        FormKind::Icon => buf.push(1),
-        FormKind::Flat => buf.push(2),
-        FormKind::Segmented => buf.push(3),
+        FormKind::Hidden => w.u8(0),
+        FormKind::Icon => w.u8(1),
+        FormKind::Flat => w.u8(2),
+        FormKind::Segmented => w.u8(3),
         FormKind::Resolution(level) => {
-            buf.push(4);
-            buf.push(*level);
+            w.u8(4);
+            w.u8(*level);
         }
-        FormKind::Text => buf.push(5),
-        FormKind::Audio => buf.push(6),
+        FormKind::Text => w.u8(5),
+        FormKind::Audio => w.u8(6),
         FormKind::Custom(name) => {
-            buf.push(7);
-            write_str(buf, name);
+            w.u8(7);
+            w.str16(name);
         }
     }
 }
 
-fn read_form_kind(r: &mut ByteReader<'_>) -> Result<FormKind> {
+fn read_form_kind(r: &mut Reader<'_>) -> Result<FormKind> {
     Ok(match r.u8()? {
         0 => FormKind::Hidden,
         1 => FormKind::Icon,
@@ -939,63 +920,9 @@ fn read_form_kind(r: &mut ByteReader<'_>) -> Result<FormKind> {
         4 => FormKind::Resolution(r.u8()?),
         5 => FormKind::Text,
         6 => FormKind::Audio,
-        7 => FormKind::Custom(r.str()?),
+        7 => FormKind::Custom(r.str16()?),
         k => return Err(CoreError::Codec(format!("bad form kind {k}"))),
     })
-}
-
-/// Minimal little-endian byte reader shared by the document codec.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(CoreError::Codec(format!(
-                "unexpected end of stream at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-    fn str(&mut self) -> Result<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| CoreError::Codec("invalid UTF-8".to_string()))
-    }
-    fn expect_end(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(CoreError::Codec(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

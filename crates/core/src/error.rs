@@ -63,5 +63,11 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl From<rcmo_obs::wire::WireError> for CoreError {
+    fn from(e: rcmo_obs::wire::WireError) -> Self {
+        CoreError::Codec(e.to_string())
+    }
+}
+
 /// Convenient result alias for the core crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -10,6 +10,7 @@
 //! 5×7 bitmap font for text).
 
 use crate::image::{GrayImage, ImagingError, Result};
+use rcmo_obs::wire::{Reader, Writer};
 
 /// Stable identifier of one overlay element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,124 +136,80 @@ impl AnnotatedImage {
 
     /// Serialises base + overlay for change propagation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"AIM1");
-        let base = self.base.to_bytes();
-        out.extend_from_slice(&(base.len() as u32).to_le_bytes());
-        out.extend_from_slice(&base);
-        out.extend_from_slice(&self.overlay_to_bytes());
-        out
+        let mut w = Writer::default();
+        w.bytes(b"AIM1");
+        w.bytes32(&self.base.to_bytes());
+        w.bytes(&self.overlay_to_bytes());
+        w.into_bytes()
     }
 
     /// Serialises only the overlay (elements + id counter) — the compact
     /// form stored next to an image whose pixels live elsewhere.
     pub fn overlay_to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.next_id.to_le_bytes());
-        out.extend_from_slice(&(self.elements.len() as u32).to_le_bytes());
+        let mut w = Writer::default();
+        w.u64(self.next_id);
+        w.u32(self.elements.len() as u32);
         for (id, e) in &self.elements {
-            out.extend_from_slice(&id.0.to_le_bytes());
+            w.u64(id.0);
             match e {
                 Element::Text(t) => {
-                    out.push(0);
-                    out.extend_from_slice(&(t.x as u32).to_le_bytes());
-                    out.extend_from_slice(&(t.y as u32).to_le_bytes());
-                    out.push(t.intensity);
-                    out.extend_from_slice(&(t.scale as u32).to_le_bytes());
-                    out.extend_from_slice(&(t.text.len() as u32).to_le_bytes());
-                    out.extend_from_slice(t.text.as_bytes());
+                    w.u8(0);
+                    w.u32(t.x as u32);
+                    w.u32(t.y as u32);
+                    w.u8(t.intensity);
+                    w.u32(t.scale as u32);
+                    w.str32(&t.text);
                 }
                 Element::Line(l) => {
-                    out.push(1);
+                    w.u8(1);
                     for v in [l.x0, l.y0, l.x1, l.y1] {
-                        out.extend_from_slice(&v.to_le_bytes());
+                        w.u64(v as u64);
                     }
-                    out.push(l.intensity);
+                    w.u8(l.intensity);
                 }
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Reverses [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<AnnotatedImage> {
-        if bytes.len() < 8 || &bytes[..4] != b"AIM1" {
-            return Err(ImagingError::Codec("not an AIM1 stream".to_string()));
-        }
-        let base_len = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize;
-        if 8 + base_len > bytes.len() {
-            return Err(ImagingError::Codec("truncated AIM1 stream".to_string()));
-        }
-        let base = GrayImage::from_bytes(&bytes[8..8 + base_len])?;
-        Self::from_parts(base, &bytes[8 + base_len..])
+        let mut r = Reader::new(bytes);
+        r.magic(b"AIM1")?;
+        let base = GrayImage::from_bytes(r.bytes32()?)?;
+        Self::from_parts(base, r.take(r.remaining())?)
     }
 
     /// Reassembles an image from its pixels and an overlay produced by
     /// [`overlay_to_bytes`](Self::overlay_to_bytes).
     pub fn from_parts(base: GrayImage, overlay: &[u8]) -> Result<AnnotatedImage> {
-        struct Cur<'a> {
-            b: &'a [u8],
-            pos: usize,
-        }
-        impl<'a> Cur<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-                if self.pos + n > self.b.len() {
-                    return Err(ImagingError::Codec("truncated overlay".to_string()));
-                }
-                let s = &self.b[self.pos..self.pos + n];
-                self.pos += n;
-                Ok(s)
-            }
-        }
-        let mut cur = Cur { b: overlay, pos: 0 };
-        let next_id = u64::from_le_bytes(cur.take(8)?.try_into().unwrap());
-        let count = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
+        let mut r = Reader::new(overlay);
+        let next_id = r.u64()?;
+        // Smallest element: id, tag, and a text body with no text.
+        let count = r.count32(8 + 1 + 17)?;
         let mut elements = Vec::with_capacity(count);
         for _ in 0..count {
-            let id = ElementId(u64::from_le_bytes(cur.take(8)?.try_into().unwrap()));
-            match cur.take(1)?[0] {
-                0 => {
-                    let x = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
-                    let y = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
-                    let intensity = cur.take(1)?[0];
-                    let scale = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
-                    let len = u32::from_le_bytes(cur.take(4)?.try_into().unwrap()) as usize;
-                    let text = String::from_utf8(cur.take(len)?.to_vec())
-                        .map_err(|_| ImagingError::Codec("invalid UTF-8 text".to_string()))?;
-                    elements.push((
-                        id,
-                        Element::Text(TextElement {
-                            x,
-                            y,
-                            text,
-                            intensity,
-                            scale,
-                        }),
-                    ));
-                }
-                1 => {
-                    let mut vals = [0i64; 4];
-                    for v in &mut vals {
-                        *v = i64::from_le_bytes(cur.take(8)?.try_into().unwrap());
-                    }
-                    let intensity = cur.take(1)?[0];
-                    elements.push((
-                        id,
-                        Element::Line(LineElement {
-                            x0: vals[0],
-                            y0: vals[1],
-                            x1: vals[2],
-                            y1: vals[3],
-                            intensity,
-                        }),
-                    ));
-                }
+            let id = ElementId(r.u64()?);
+            let element = match r.u8()? {
+                0 => Element::Text(TextElement {
+                    x: r.u32()? as usize,
+                    y: r.u32()? as usize,
+                    intensity: r.u8()?,
+                    scale: r.u32()? as usize,
+                    text: r.str32()?,
+                }),
+                1 => Element::Line(LineElement {
+                    x0: r.u64()? as i64,
+                    y0: r.u64()? as i64,
+                    x1: r.u64()? as i64,
+                    y1: r.u64()? as i64,
+                    intensity: r.u8()?,
+                }),
                 t => return Err(ImagingError::Codec(format!("bad element tag {t}"))),
-            }
+            };
+            elements.push((id, element));
         }
-        if cur.pos != overlay.len() {
-            return Err(ImagingError::Codec("trailing bytes".to_string()));
-        }
+        r.finish()?;
         Ok(AnnotatedImage {
             base,
             elements,

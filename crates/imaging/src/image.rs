@@ -1,5 +1,6 @@
 //! 8-bit grayscale raster images.
 
+use rcmo_obs::wire::{Reader, Writer};
 use std::fmt;
 
 /// Errors raised by image operations.
@@ -25,6 +26,12 @@ impl fmt::Display for ImagingError {
 }
 
 impl std::error::Error for ImagingError {}
+
+impl From<rcmo_obs::wire::WireError> for ImagingError {
+    fn from(e: rcmo_obs::wire::WireError) -> Self {
+        ImagingError::Codec(e.to_string())
+    }
+}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, ImagingError>;
@@ -220,29 +227,23 @@ impl GrayImage {
 
     /// Serialises to bytes (magic + dims + raw pixels) for BLOB storage.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12 + self.pixels.len());
-        out.extend_from_slice(b"GIM1");
-        out.extend_from_slice(&(self.width as u32).to_le_bytes());
-        out.extend_from_slice(&(self.height as u32).to_le_bytes());
-        out.extend_from_slice(&self.pixels);
-        out
+        let mut w = Writer::with_capacity(12 + self.pixels.len());
+        w.bytes(b"GIM1");
+        w.u32(self.width as u32);
+        w.u32(self.height as u32);
+        w.bytes(&self.pixels);
+        w.into_bytes()
     }
 
     /// Reverses [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<GrayImage> {
-        if bytes.len() < 12 || &bytes[..4] != b"GIM1" {
-            return Err(ImagingError::Codec("not a GIM1 stream".to_string()));
-        }
-        let w = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
-        let h = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
-        if bytes.len() != 12 + w * h {
-            return Err(ImagingError::Codec(format!(
-                "expected {} pixel bytes, found {}",
-                w * h,
-                bytes.len() - 12
-            )));
-        }
-        GrayImage::from_pixels(w, h, bytes[12..].to_vec())
+        let mut r = Reader::new(bytes);
+        r.magic(b"GIM1")?;
+        let w = r.u32()? as usize;
+        let h = r.u32()? as usize;
+        let pixels = r.take(w.saturating_mul(h))?;
+        r.finish()?;
+        GrayImage::from_pixels(w, h, pixels.to_vec())
     }
 }
 

@@ -42,6 +42,10 @@
 //! let json = snap.to_json();
 //! assert_eq!(rcmo_obs::MetricsSnapshot::from_json(&json).unwrap(), snap);
 //! ```
+//!
+//! The crate also hosts [`wire`], the bounded little-endian reader and
+//! writer every stored byte format parses through. It lives here because
+//! this is the one crate every format crate already depends on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +54,7 @@ pub mod clock;
 pub mod metric;
 pub mod registry;
 pub mod snapshot;
+pub mod wire;
 
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
 pub use metric::{bounds, Counter, Gauge, Histogram, OwnedTimer, Timer};

@@ -11,6 +11,7 @@ use crate::blob::BlobId;
 use crate::error::{Result, StorageError};
 use crate::heap::RecordId;
 use crate::page::PageId;
+use rcmo_obs::wire::{Reader, Writer};
 
 /// Column type of a table schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,34 +193,32 @@ const VAL_BYTES: u8 = 5;
 const VAL_BLOB: u8 = 6;
 
 /// Appends one value's row encoding: a tag byte, then the payload.
-pub(crate) fn encode_value(v: &RowValue, buf: &mut Vec<u8>) {
+pub(crate) fn encode_value(v: &RowValue, w: &mut Writer) {
     match v {
-        RowValue::Null => buf.push(VAL_NULL),
+        RowValue::Null => w.u8(VAL_NULL),
         RowValue::U64(x) => {
-            buf.push(VAL_U64);
-            buf.extend_from_slice(&x.to_le_bytes());
+            w.u8(VAL_U64);
+            w.u64(*x);
         }
         RowValue::I64(x) => {
-            buf.push(VAL_I64);
-            buf.extend_from_slice(&x.to_le_bytes());
+            w.u8(VAL_I64);
+            w.u64(*x as u64);
         }
         RowValue::F64(x) => {
-            buf.push(VAL_F64);
-            buf.extend_from_slice(&x.to_le_bytes());
+            w.u8(VAL_F64);
+            w.f64(*x);
         }
         RowValue::Text(s) => {
-            buf.push(VAL_TEXT);
-            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
+            w.u8(VAL_TEXT);
+            w.str32(s);
         }
         RowValue::Bytes(b) => {
-            buf.push(VAL_BYTES);
-            buf.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            buf.extend_from_slice(b);
+            w.u8(VAL_BYTES);
+            w.bytes32(b);
         }
         RowValue::Blob(b) => {
-            buf.push(VAL_BLOB);
-            buf.extend_from_slice(&b.0.to_le_bytes());
+            w.u8(VAL_BLOB);
+            w.u64(b.0);
         }
     }
 }
@@ -239,7 +238,7 @@ pub fn encode_row(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
             "primary key must not be NULL".to_string(),
         ));
     }
-    let mut buf = Vec::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     for (v, c) in values.iter().zip(schema.columns()) {
         if !v.matches(c.ty) {
             return Err(StorageError::Catalog(format!(
@@ -247,84 +246,24 @@ pub fn encode_row(schema: &Schema, values: &[RowValue]) -> Result<Vec<u8>> {
                 v, c.name, c.ty
             )));
         }
-        encode_value(v, &mut buf);
+        encode_value(v, &mut w);
     }
-    Ok(buf)
-}
-
-/// Little-endian cursor over a byte slice, shared by the row and catalog
-/// decoders.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(StorageError::Catalog(format!(
-                "record truncated at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+    Ok(w.into_bytes())
 }
 
 /// Decodes a row encoded by [`encode_row`].
 pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Vec<RowValue>> {
     let mut values = Vec::with_capacity(schema.arity());
-    let mut cur = Cursor::new(bytes);
+    let mut r = Reader::new(bytes);
     for c in schema.columns() {
-        let tag = cur.u8()?;
-        let v = match tag {
+        let v = match r.u8()? {
             VAL_NULL => RowValue::Null,
-            VAL_U64 => RowValue::U64(cur.u64()?),
-            VAL_I64 => RowValue::I64(cur.u64()? as i64),
-            VAL_F64 => RowValue::F64(f64::from_le_bytes(cur.u64()?.to_le_bytes())),
-            VAL_TEXT => {
-                let len = cur.u32()? as usize;
-                let raw = cur.take(len)?;
-                RowValue::Text(String::from_utf8(raw.to_vec()).map_err(|_| {
-                    StorageError::Catalog(format!("column '{}' holds invalid UTF-8", c.name))
-                })?)
-            }
-            VAL_BYTES => {
-                let len = cur.u32()? as usize;
-                RowValue::Bytes(cur.take(len)?.to_vec())
-            }
-            VAL_BLOB => RowValue::Blob(BlobId(cur.u64()?)),
+            VAL_U64 => RowValue::U64(r.u64()?),
+            VAL_I64 => RowValue::I64(r.u64()? as i64),
+            VAL_F64 => RowValue::F64(r.f64()?),
+            VAL_TEXT => RowValue::Text(r.str32()?),
+            VAL_BYTES => RowValue::Bytes(r.bytes32()?.to_vec()),
+            VAL_BLOB => RowValue::Blob(BlobId(r.u64()?)),
             t => {
                 return Err(StorageError::Catalog(format!(
                     "unknown value tag {t} in column '{}'",
@@ -340,9 +279,7 @@ pub fn decode_row(schema: &Schema, bytes: &[u8]) -> Result<Vec<RowValue>> {
         }
         values.push(v);
     }
-    if !cur.done() {
-        return Err(StorageError::Catalog("trailing bytes in row".to_string()));
-    }
+    r.finish()?;
     Ok(values)
 }
 
@@ -381,52 +318,48 @@ impl TableInfo {
     /// without indexes encodes no index tail at all — byte for byte the
     /// format-version-1 record.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&(self.name.len() as u16).to_le_bytes());
-        buf.extend_from_slice(self.name.as_bytes());
-        buf.extend_from_slice(&(self.schema.arity() as u16).to_le_bytes());
+        let mut w = Writer::with_capacity(64);
+        w.str16(&self.name);
+        w.u16(self.schema.arity() as u16);
         for c in self.schema.columns() {
-            buf.extend_from_slice(&(c.name.len() as u16).to_le_bytes());
-            buf.extend_from_slice(c.name.as_bytes());
-            buf.push(c.ty.tag());
+            w.str16(&c.name);
+            w.u8(c.ty.tag());
         }
-        buf.extend_from_slice(&self.heap_root.0.to_le_bytes());
-        buf.extend_from_slice(&self.index_root.0.to_le_bytes());
-        buf.extend_from_slice(&self.next_id.to_le_bytes());
+        w.u64(self.heap_root.0);
+        w.u64(self.index_root.0);
+        w.u64(self.next_id);
         if !self.indexes.is_empty() {
-            buf.extend_from_slice(&(self.indexes.len() as u16).to_le_bytes());
+            w.u16(self.indexes.len() as u16);
             for ix in &self.indexes {
-                buf.extend_from_slice(&(ix.column as u16).to_le_bytes());
-                buf.extend_from_slice(&ix.root.0.to_le_bytes());
+                w.u16(ix.column as u16);
+                w.u64(ix.root.0);
             }
         }
-        buf
+        w.into_bytes()
     }
 
     /// Decodes a catalog record.
     pub fn decode(bytes: &[u8]) -> Result<TableInfo> {
-        let mut cur = Cursor::new(bytes);
-        let name_len = cur.u16()? as usize;
-        let name = String::from_utf8(cur.take(name_len)?.to_vec())
-            .map_err(|_| StorageError::Catalog("table name invalid UTF-8".to_string()))?;
-        let ncols = cur.u16()? as usize;
+        let mut r = Reader::new(bytes);
+        let name = r.str16()?;
+        // A column is its name and a type tag.
+        let ncols = r.count16(2 + 1)?;
         let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let cname_len = cur.u16()? as usize;
-            let cname = String::from_utf8(cur.take(cname_len)?.to_vec())
-                .map_err(|_| StorageError::Catalog("column name invalid UTF-8".to_string()))?;
-            let ty = ColumnType::from_tag(cur.u8()?)
+            let cname = r.str16()?;
+            let ty = ColumnType::from_tag(r.u8()?)
                 .ok_or_else(|| StorageError::Catalog("unknown column type tag".to_string()))?;
             columns.push(Column { name: cname, ty });
         }
-        let heap_root = PageId(cur.u64()?);
-        let index_root = PageId(cur.u64()?);
-        let next_id = cur.u64()?;
-        // A record that ends here predates secondary indexes.
-        let nindexes = if cur.done() { 0 } else { cur.u16()? };
-        let mut indexes = Vec::with_capacity(nindexes as usize);
+        let heap_root = PageId(r.u64()?);
+        let index_root = PageId(r.u64()?);
+        let next_id = r.u64()?;
+        // A record that ends here predates secondary indexes; an index is
+        // a column number and a root page.
+        let nindexes = if r.remaining() > 0 { r.count16(10)? } else { 0 };
+        let mut indexes = Vec::with_capacity(nindexes);
         for _ in 0..nindexes {
-            let column = cur.u16()? as usize;
+            let column = r.u16()? as usize;
             if column == 0 || column >= ncols {
                 return Err(StorageError::Catalog(format!(
                     "table '{name}' indexes column {column} of {ncols}"
@@ -434,14 +367,10 @@ impl TableInfo {
             }
             indexes.push(IndexInfo {
                 column,
-                root: PageId(cur.u64()?),
+                root: PageId(r.u64()?),
             });
         }
-        if !cur.done() {
-            return Err(StorageError::Catalog(
-                "trailing bytes in catalog record".to_string(),
-            ));
-        }
+        r.finish()?;
         Ok(TableInfo {
             name,
             schema: Schema::new(columns)?,

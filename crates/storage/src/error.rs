@@ -115,6 +115,12 @@ impl std::error::Error for StorageError {
     }
 }
 
+impl From<rcmo_obs::wire::WireError> for StorageError {
+    fn from(e: rcmo_obs::wire::WireError) -> Self {
+        StorageError::Catalog(e.to_string())
+    }
+}
+
 impl From<io::Error> for StorageError {
     fn from(e: io::Error) -> Self {
         StorageError::Io(e)

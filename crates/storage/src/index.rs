@@ -22,6 +22,7 @@ use crate::catalog::{encode_value, RowValue};
 use crate::error::{Result, StorageError};
 use crate::page::PageId;
 use crate::pager::{BufferPool, PageRead};
+use rcmo_obs::wire::Writer;
 
 /// Low bits of an entry key that number the slot inside a bucket.
 pub(crate) const SLOT_MASK: u64 = 0xFFFF;
@@ -30,10 +31,10 @@ pub(crate) const SLOT_MASK: u64 = 0xFFFF;
 /// encoding (tag byte, then payload), xor-folded to 48 bits, shifted past
 /// the slot bits.
 pub(crate) fn bucket(value: &RowValue) -> u64 {
-    let mut bytes = Vec::with_capacity(16);
-    encode_value(value, &mut bytes);
+    let mut w = Writer::with_capacity(16);
+    encode_value(value, &mut w);
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
+    for &b in w.as_slice() {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
     }
     ((h ^ (h >> 48)) & 0xFFFF_FFFF_FFFF) << 16

@@ -22,6 +22,7 @@ use crate::backend::{Backend, FileBackend, MemBackend};
 use crate::error::{Result, StorageError};
 use crate::failpoint;
 use crate::page::{crc32, PageId, PAGE_SIZE};
+use rcmo_obs::wire::{Reader, Writer};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
@@ -209,15 +210,13 @@ impl Wal {
 
     fn append(&mut self, tag: u8, payload: &[u8]) -> Result<()> {
         failpoint::hit(failpoint::WAL_APPEND)?;
-        let len = payload.len() as u32;
-        let mut framed = Vec::with_capacity(payload.len() + 9);
-        framed.push(tag);
-        framed.extend_from_slice(&len.to_le_bytes());
-        framed.extend_from_slice(payload);
-        let sum = crc32(&framed);
-        framed.extend_from_slice(&sum.to_le_bytes());
+        let mut frame = Writer::with_capacity(payload.len() + 9);
+        frame.u8(tag);
+        frame.bytes32(payload);
+        let sum = crc32(frame.as_slice());
+        frame.u32(sum);
         let end = self.backend.len()?;
-        self.backend.write_at(end, &framed)
+        self.backend.write_at(end, frame.as_slice())
     }
 
     /// Appends a page after-image for `txn`.
@@ -225,11 +224,11 @@ impl Wal {
         static LAT: rcmo_obs::LazyHistogram =
             rcmo_obs::LazyHistogram::new("storage.wal.append.us", rcmo_obs::bounds::LATENCY_US);
         let _t = LAT.start_timer();
-        let mut payload = Vec::with_capacity(16 + PAGE_SIZE);
-        payload.extend_from_slice(&txn.to_le_bytes());
-        payload.extend_from_slice(&page.0.to_le_bytes());
-        payload.extend_from_slice(image);
-        self.append(TAG_PAGE, &payload)
+        let mut payload = Writer::with_capacity(16 + PAGE_SIZE);
+        payload.u64(txn);
+        payload.u64(page.0);
+        payload.bytes(image);
+        self.append(TAG_PAGE, payload.as_slice())
     }
 
     /// Appends a commit marker for `txn`.
@@ -248,7 +247,9 @@ impl Wal {
                 )));
             }
         }
-        self.append(TAG_COMMIT, &txn.to_le_bytes())?;
+        let mut payload = Writer::with_capacity(8);
+        payload.u64(txn);
+        self.append(TAG_COMMIT, payload.as_slice())?;
         self.last_commit_txn = Some(txn);
         Ok(())
     }
@@ -290,73 +291,24 @@ impl Wal {
         let len = self.backend.len()?;
         let mut bytes = vec![0u8; len as usize];
         self.backend.read_at(0, &mut bytes)?;
-        if bytes.len() < MAGIC.len() || &bytes[..4] != MAGIC {
+        let mut r = Reader::new(&bytes);
+        if r.magic(MAGIC).is_err() {
             return Err(StorageError::BadHeader("WAL magic mismatch".to_string()));
         }
         let mut records = Vec::new();
         let mut last_commit: Option<u64> = None;
-        let mut pos = MAGIC.len();
-        while pos < bytes.len() {
-            // tag + len + crc is the minimum frame.
-            if pos + 9 > bytes.len() {
-                break; // torn tail
-            }
-            let tag = bytes[pos];
-            let len = u32::from_le_bytes([
-                bytes[pos + 1],
-                bytes[pos + 2],
-                bytes[pos + 3],
-                bytes[pos + 4],
-            ]) as usize;
-            let frame_end = pos + 5 + len;
-            if frame_end + 4 > bytes.len() {
-                break; // torn tail
-            }
-            let stored = u32::from_le_bytes([
-                bytes[frame_end],
-                bytes[frame_end + 1],
-                bytes[frame_end + 2],
-                bytes[frame_end + 3],
-            ]);
-            if crc32(&bytes[pos..frame_end]) != stored {
-                break; // torn / corrupt tail — stop replay here
-            }
-            let payload = &bytes[pos + 5..frame_end];
-            match tag {
-                TAG_PAGE => {
-                    if payload.len() != 16 + PAGE_SIZE {
-                        break;
-                    }
-                    let mut a = [0u8; 8];
-                    a.copy_from_slice(&payload[0..8]);
-                    let txn = u64::from_le_bytes(a);
-                    a.copy_from_slice(&payload[8..16]);
-                    let page = PageId(u64::from_le_bytes(a));
-                    records.push(WalRecord::PageImage {
-                        txn,
-                        page,
-                        image: payload[16..].to_vec(),
-                    });
+        // Replay stops silently at the end or at a torn / corrupt frame.
+        while let Some(record) = read_frame(&mut r) {
+            if let WalRecord::Commit { txn } = record {
+                if last_commit.is_some_and(|last| txn <= last) {
+                    // Duplicate or out-of-order commit record: salvage
+                    // the prefix before it, never apply it.
+                    WAL_BAD_COMMIT.inc();
+                    break;
                 }
-                TAG_COMMIT => {
-                    if payload.len() != 8 {
-                        break;
-                    }
-                    let mut a = [0u8; 8];
-                    a.copy_from_slice(payload);
-                    let txn = u64::from_le_bytes(a);
-                    if last_commit.is_some_and(|last| txn <= last) {
-                        // Duplicate or out-of-order commit record: salvage
-                        // the prefix before it, never apply it.
-                        WAL_BAD_COMMIT.inc();
-                        break;
-                    }
-                    last_commit = Some(txn);
-                    records.push(WalRecord::Commit { txn });
-                }
-                _ => break, // unknown tag — treat as torn tail
+                last_commit = Some(txn);
             }
-            pos = frame_end + 4;
+            records.push(record);
         }
         Ok(records)
     }
@@ -384,6 +336,30 @@ impl Wal {
             .collect();
         Ok((images, committed))
     }
+}
+
+/// Decodes the frame at `r`; `None` if it is torn, fails its checksum,
+/// or does not hold a well-formed record.
+fn read_frame(r: &mut Reader<'_>) -> Option<WalRecord> {
+    let mut covered = r.clone();
+    let tag = r.u8().ok()?;
+    let payload = r.bytes32().ok()?;
+    let stored = r.u32().ok()?;
+    if crc32(covered.take(1 + 4 + payload.len()).ok()?) != stored {
+        return None;
+    }
+    let mut p = Reader::new(payload);
+    let record = match tag {
+        TAG_PAGE => WalRecord::PageImage {
+            txn: p.u64().ok()?,
+            page: PageId(p.u64().ok()?),
+            image: p.take(PAGE_SIZE).ok()?.to_vec(),
+        },
+        TAG_COMMIT => WalRecord::Commit { txn: p.u64().ok()? },
+        _ => return None,
+    };
+    p.finish().ok()?;
+    Some(record)
 }
 
 #[cfg(test)]
