@@ -46,3 +46,24 @@ fn same_seed_is_byte_identical_different_seed_is_not() {
         "a different seed must produce a different trace"
     );
 }
+
+/// FNV-1a-64 of `bytes`, the same hash the trace fingerprint uses.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins seed 42's scenario to fixed values, so a refactor that must keep
+/// behaviour identical (same routed calls, same room locks, same events)
+/// cannot drift unseen. The metrics text counts routed calls and room
+/// locks, so a change in either moves its length or its hash. A change
+/// that is meant to move these numbers re-pins them and says why.
+#[test]
+fn seed_42_scenario_is_pinned() {
+    let r = Simulator::run(&SimConfig::small(42));
+    assert_eq!(r.trace_fingerprint, 0xd39f_34a5_8b21_498c);
+    assert_eq!(r.trace_len, 3796);
+    assert_eq!(r.metrics_text.len(), 8847);
+    assert_eq!(fnv1a64(r.metrics_text.as_bytes()), 0x2fa1_a195_013b_34a9);
+}
