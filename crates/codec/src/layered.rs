@@ -198,6 +198,11 @@ const MAGIC: &[u8; 4] = b"LIC1";
 const LAYER_HEADER: usize = 1 + 8 + 4;
 /// Deepest wavelet decomposition the encoder writes and the decoder reads.
 const MAX_LEVELS: usize = 8;
+/// Largest image, in pixels, the encoder writes and the decoder reads:
+/// 4096², sixty-four 512² CT slices. A header is checked against it before
+/// any buffer is sized, so a few bytes declaring 65 535 × 65 535 are an
+/// error, not a 17 GB allocation.
+pub const MAX_PIXELS: usize = 1 << 24;
 
 fn padded_dims(w: usize, h: usize, levels: usize) -> (usize, usize) {
     let unit = (1usize << levels).max(packet::TILE).max(dct::N);
@@ -278,8 +283,15 @@ pub fn encode(img: &GrayImage, cfg: &EncoderConfig) -> Result<Vec<u8>, CodecErro
             "quantiser steps must be positive".into(),
         ));
     }
-    if img.width() > u16::MAX as usize || img.height() > u16::MAX as usize {
-        return Err(CodecError::BadConfig("image too large".into()));
+    if img.width() > u16::MAX as usize
+        || img.height() > u16::MAX as usize
+        || img.width() * img.height() > MAX_PIXELS
+    {
+        return Err(CodecError::BadConfig(format!(
+            "image too large: {}x{}",
+            img.width(),
+            img.height()
+        )));
     }
     let (pw, ph) = padded_dims(img.width(), img.height(), cfg.levels);
     let padded = Plane::from_image(img).pad_to(pw, ph);
@@ -327,7 +339,12 @@ pub fn info(bytes: &[u8]) -> Result<StreamInfo, CodecError> {
     };
     let levels = r.u8()? as usize;
     let nlayers = r.u8()?;
-    if width == 0 || height == 0 || nlayers == 0 || !(1..=MAX_LEVELS).contains(&levels) {
+    if width == 0
+        || height == 0
+        || width * height > MAX_PIXELS
+        || nlayers == 0
+        || !(1..=MAX_LEVELS).contains(&levels)
+    {
         return Err(CodecError::Malformed(format!(
             "header: {width}x{height}, {levels} levels, {nlayers} layers"
         )));
@@ -557,6 +574,22 @@ mod tests {
 
     fn test_image() -> GrayImage {
         ct_phantom(96, 3, 11).unwrap()
+    }
+
+    #[test]
+    fn encoder_refuses_what_the_decoder_would() {
+        let cfg = EncoderConfig::default();
+        // Both sides fit the header's u16 fields; the product does not.
+        let big = GrayImage::new(4097, 4096).unwrap();
+        assert!(big.width() * big.height() > MAX_PIXELS);
+        assert!(matches!(encode(&big, &cfg), Err(CodecError::BadConfig(_))));
+        // The bound is inclusive: a stream at exactly MAX_PIXELS parses.
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u16(4096);
+        w.u16(4096);
+        w.bytes(&[0, 1, 1]);
+        assert_eq!(info(&w.into_bytes()).unwrap().width, 4096);
     }
 
     #[test]

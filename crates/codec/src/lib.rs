@@ -34,6 +34,6 @@ pub mod quant;
 
 pub use layered::{
     decode, decode_prefix, decode_resolution, encode, encode_to_budget, Basis, CodecError,
-    EncoderConfig, LayerSpec, LayeredHeader, StreamInfo, Wavelet,
+    EncoderConfig, LayerSpec, LayeredHeader, StreamInfo, Wavelet, MAX_PIXELS,
 };
 pub use plane::Plane;

@@ -521,18 +521,6 @@ impl MultimediaDocument {
         Ok(var)
     }
 
-    /// Removes every derived (operation) variable from the global net, in
-    /// reverse insertion order. Used before structural edits and when the
-    /// interaction server consolidates a session.
-    pub fn drop_derived_variables(&mut self) -> Result<()> {
-        while let Some(d) = self.derived.pop() {
-            // Derived variables are always sinks (nothing conditions on
-            // them), so the fix value is irrelevant.
-            self.net.remove_variable(d.var, Value(0))?;
-        }
-        Ok(())
-    }
-
     /// Adds a *tuning variable* (paper, Section 4.4, first alternative): a
     /// free CP-net variable that is not a component — e.g. measured
     /// bandwidth bands or client buffer classes — on which component

@@ -20,8 +20,7 @@
 //! shared document.
 
 use crate::cpnet::{
-    ExtendedNet, Extension, Outcome, PartialAssignment, PreferenceNet, ReconfigEngine,
-    ReconfigStats, Value, VarId,
+    ExtendedNet, Extension, Outcome, PartialAssignment, PreferenceNet, ReconfigEngine, Value, VarId,
 };
 use crate::document::{ComponentId, ComponentKind, DerivedVar, FormKind, MultimediaDocument};
 use crate::error::{CoreError, Result};
@@ -374,14 +373,6 @@ impl PresentationEngine {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .completion(doc.net(), viewer, evidence)
-    }
-
-    /// Cache behaviour counters of the underlying reconfiguration engine.
-    pub fn reconfig_stats(&self) -> ReconfigStats {
-        self.reconfig
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .stats()
     }
 
     /// `defaultPresentation()`: the author-optimal presentation, with no

@@ -57,7 +57,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
-pub use metric::{bounds, Counter, Gauge, Histogram, OwnedTimer, Timer};
+pub use metric::{bounds, Counter, Gauge, Histogram, Timer};
 pub use registry::{LazyCounter, LazyGauge, LazyHistogram, Registry};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 

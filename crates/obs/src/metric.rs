@@ -188,17 +188,6 @@ impl Histogram {
         }
     }
 
-    /// Like [`start_timer`](Self::start_timer) but the guard owns a clone
-    /// of the handle, so it does not borrow the histogram — useful when
-    /// the span covers `&mut self` calls on the handle's owner.
-    pub fn start_timer_owned(&self) -> OwnedTimer {
-        OwnedTimer {
-            hist: self.clone(),
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
     /// Snapshot of this handle's own cell.
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.cells[0].snapshot()
@@ -225,32 +214,6 @@ impl Timer<'_> {
 }
 
 impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record_duration(self.start.elapsed());
-        }
-    }
-}
-
-/// The owning variant of [`Timer`]: holds its own histogram handle.
-#[derive(Debug)]
-pub struct OwnedTimer {
-    hist: Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl OwnedTimer {
-    /// Stops the span now and returns the recorded microseconds.
-    pub fn stop(mut self) -> u64 {
-        self.armed = false;
-        let us = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.hist.record(us);
-        us
-    }
-}
-
-impl Drop for OwnedTimer {
     fn drop(&mut self) {
         if self.armed {
             self.hist.record_duration(self.start.elapsed());

@@ -11,6 +11,11 @@
 //! bounded backoff instead of erroring; only an exhausted retry budget
 //! surfaces [`ServerError::ShardUnavailable`] / [`ServerError::Migrating`].
 //!
+//! Queries go through [`ClusterFrontend::read_room`]; commands stay typed.
+//! A query is a closure over the room's `&self` API, routed like any other
+//! call; only commands — mutations, capability checks, checkpoint
+//! barriers, and join's error mapping — are mirrored method by method.
+//!
 //! Lock order (deadlock discipline, extending DESIGN.md §11's map → room
 //! order): `directory(shared) → rooms-map(shared) → room`. `route` drops
 //! its directory read guard before it enters the shard; the directory's
@@ -23,13 +28,11 @@
 use crate::error::{JoinRejectCause, Result, ServerError};
 use crate::events::{Action, TriggerCondition};
 use crate::resync::Resync;
-use crate::role::{JoinRequest, Role};
-use crate::room::{RoomConfig, RoomId, RoomStats, SharedObjectId};
+use crate::role::JoinRequest;
+use crate::room::{Room, RoomConfig, RoomId};
 use crate::server::{ClientConnection, InteractionServer};
 use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, RwLock};
-use rcmo_core::Presentation;
-use rcmo_imaging::GrayImage;
 use rcmo_mediadb::MediaDb;
 use rcmo_netsim::{FaultSpec, Link};
 use rcmo_obs::{bounds, Counter, Gauge, Histogram, Metrics, MetricsSnapshot, Registry};
@@ -93,12 +96,6 @@ impl ClusterConfig {
             route_backoff_cap_us: 2_000,
             journal_tail_cap: 4_096,
         }
-    }
-
-    /// Sets the per-shard heartbeat fault models.
-    pub fn with_heartbeat_faults(mut self, faults: Vec<FaultSpec>) -> ClusterConfig {
-        self.heartbeat_faults = faults;
-        self
     }
 }
 
@@ -410,8 +407,9 @@ impl ClusterFrontend {
 
     /// Drains a room's replication stream and reports the replica's reach:
     /// `(last replicated sequence number, drained tail length)`. A replica
-    /// is *current* when the first component equals the room's
-    /// [`Self::last_seq`] — the invariant the zero-loss failover gate
+    /// is *current* when the first component equals the room's latest
+    /// sequence number (`r.change_log().last_seq()` through
+    /// [`Self::read_room`]) — the invariant the zero-loss failover gate
     /// checks before killing a shard.
     pub fn replication_status(&self, room: RoomId) -> Result<(u64, usize)> {
         let mut journals = self.journals.lock();
@@ -535,8 +533,8 @@ impl ClusterFrontend {
             .map_err(|e| Self::join_cause(room, e))
     }
 
-    /// Joins as a [`Role::Moderator`] with default queue bounds — the
-    /// symmetric-room shim over [`Self::join`].
+    /// Joins as a [`Role::Moderator`](crate::role::Role::Moderator) with
+    /// default queue bounds — the symmetric-room shim over [`Self::join`].
     pub fn join_default(&self, room: RoomId, user: &str) -> Result<ClientConnection> {
         self.join(room, &JoinRequest::moderator(user))
     }
@@ -563,6 +561,20 @@ impl ClusterFrontend {
         ServerError::JoinRejected { room, cause }
     }
 
+    /// Runs a query against one room's state on whichever shard serves
+    /// it: [`InteractionServer::read_room`] behind the same routing —
+    /// retries, directory lookups (`cluster.directory.lookup.count`) and
+    /// errors — as every other routed call. `f` is `Fn`, not `FnOnce`,
+    /// because a retried call runs it again on the room's new placement.
+    ///
+    /// `f` runs **under the room lock** on the shard: keep it short, and
+    /// never call back into the frontend or a shard from inside it.
+    /// Commands — anything that mutates a room, checks a capability, or
+    /// needs a replica checkpoint barrier — stay typed methods.
+    pub fn read_room<R>(&self, room: RoomId, f: impl Fn(&Room) -> Result<R>) -> Result<R> {
+        self.route(room, |srv| srv.read_room(room, &f))
+    }
+
     /// Leaves a room.
     pub fn leave(&self, room: RoomId, user: &str) -> Result<()> {
         self.route(room, move |srv| srv.leave(room, user))
@@ -582,21 +594,6 @@ impl ClusterFrontend {
         Ok(())
     }
 
-    /// The viewer's current presentation.
-    pub fn presentation(&self, room: RoomId, user: &str) -> Result<Presentation> {
-        self.route(room, move |srv| srv.presentation(room, user))
-    }
-
-    /// Renders a viewer's presentation as text.
-    pub fn render_presentation(&self, room: RoomId, user: &str) -> Result<String> {
-        self.route(room, move |srv| srv.render_presentation(room, user))
-    }
-
-    /// The document outline.
-    pub fn outline(&self, room: RoomId) -> Result<String> {
-        self.route(room, move |srv| srv.outline(room))
-    }
-
     /// Opens a stored image into the room as a shared working copy.
     /// Checkpoint barrier: an object open is not a room event (the pixels
     /// come from the shared durable store, not the wire), so the replica
@@ -604,16 +601,6 @@ impl ClusterFrontend {
     pub fn open_image(&self, room: RoomId, user: &str, object_id: u64) -> Result<()> {
         self.route(room, move |srv| srv.open_image(room, user, object_id))?;
         self.checkpoint_room(room)
-    }
-
-    /// Renders a shared object's current state.
-    pub fn render_object(&self, room: RoomId, object: SharedObjectId) -> Result<GrayImage> {
-        self.route(room, move |srv| srv.render_object(room, object))
-    }
-
-    /// Number of annotation elements on a shared object.
-    pub fn object_elements(&self, room: RoomId, object: SharedObjectId) -> Result<usize> {
-        self.route(room, move |srv| srv.object_elements(room, object))
     }
 
     /// Saves a shared object back to the database and closes it.
@@ -653,11 +640,6 @@ impl ClusterFrontend {
         })
     }
 
-    /// The member's current bandwidth estimate in the room, if any.
-    pub fn estimated_bandwidth(&self, room: RoomId, user: &str) -> Result<Option<f64>> {
-        self.route(room, move |srv| srv.estimated_bandwidth(room, user))
-    }
-
     /// Warms the room's object cache from the CP-net prefetch planner.
     pub fn warm_room_cache(&self, room: RoomId, user: &str) -> Result<usize> {
         self.route(room, move |srv| srv.warm_room_cache(room, user))
@@ -695,26 +677,6 @@ impl ClusterFrontend {
         self.route(room, move |srv| srv.remove_trigger(room, user, trigger))
     }
 
-    /// Members of a room.
-    pub fn members(&self, room: RoomId) -> Result<Vec<String>> {
-        self.route(room, move |srv| srv.members(room))
-    }
-
-    /// Propagation statistics of a room.
-    pub fn room_stats(&self, room: RoomId) -> Result<RoomStats> {
-        self.route(room, move |srv| srv.room_stats(room))
-    }
-
-    /// Events retained in a room's change buffer.
-    pub fn change_log_len(&self, room: RoomId) -> Result<usize> {
-        self.route(room, move |srv| srv.change_log_len(room))
-    }
-
-    /// Latest sequence number in a room's total order.
-    pub fn last_seq(&self, room: RoomId) -> Result<u64> {
-        self.route(room, move |srv| srv.last_seq(room))
-    }
-
     /// Reconfigures a room whole — capacity, change-log horizon, member
     /// queue bound — via [`crate::server::InteractionServer::configure_room`].
     /// `user` must hold [`crate::role::Capability::ConfigureRoom`] in the
@@ -725,11 +687,6 @@ impl ClusterFrontend {
         })
     }
 
-    /// A room's current configuration.
-    pub fn room_config(&self, room: RoomId) -> Result<RoomConfig> {
-        self.route(room, move |srv| srv.room_config(room))
-    }
-
     /// Removes `target` from the room on `by`'s authority.
     pub fn evict(&self, room: RoomId, by: &str, target: &str) -> Result<()> {
         self.route(room, move |srv| srv.evict(room, by, target))
@@ -738,18 +695,6 @@ impl ClusterFrontend {
     /// Hands the presenter seat from `from` to `to`.
     pub fn hand_off_presenter(&self, room: RoomId, from: &str, to: &str) -> Result<()> {
         self.route(room, move |srv| srv.hand_off_presenter(room, from, to))
-    }
-
-    /// The member's current role in the room (live or reserved), if any.
-    /// Roles ride the exported [`crate::room::RoomState`], so the answer
-    /// is stable across migration and failover.
-    pub fn role_of(&self, room: RoomId, user: &str) -> Result<Option<Role>> {
-        self.route(room, move |srv| srv.role_of(room, user))
-    }
-
-    /// Who holds the room's presenter seat, if anyone.
-    pub fn presenter(&self, room: RoomId) -> Result<Option<String>> {
-        self.route(room, move |srv| srv.presenter(room))
     }
 
     /// Broadcasts an announcement into every room on every *surviving*

@@ -186,13 +186,6 @@ impl HealthTracker {
         )
     }
 
-    /// Every shard currently classified dead.
-    pub fn dead_shards(&self) -> Vec<ShardId> {
-        (0..self.shards.len())
-            .filter(|&s| self.health(s) == ShardHealth::Dead)
-            .collect()
-    }
-
     /// Shards not declared dead (alive or merely suspect).
     pub fn surviving_shards(&self) -> Vec<ShardId> {
         (0..self.shards.len())

@@ -11,7 +11,8 @@
 //!   change-log tail) held by the frontend, outside any shard.
 //! - [`frontend`]: the [`ClusterFrontend`] tying it together — routed
 //!   client API with bounded-backoff retry, migration, failover, and
-//!   cluster metrics.
+//!   cluster metrics. Queries go through [`ClusterFrontend::read_room`];
+//!   commands stay typed.
 
 pub mod directory;
 pub mod frontend;

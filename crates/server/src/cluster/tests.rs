@@ -117,7 +117,10 @@ fn rooms_spread_across_shards_and_route_transparently() {
         assert!(got
             .iter()
             .any(|e| matches!(e, RoomEvent::Chat { text, .. } if text.contains("hello"))));
-        assert!(!cf.render_presentation(room, &user).unwrap().is_empty());
+        assert!(!cf
+            .read_room(room, |r| r.render_presentation(&user))
+            .unwrap()
+            .is_empty());
     }
     assert_eq!(Metrics::metrics(&cf).rooms, 8);
 }
@@ -162,7 +165,7 @@ fn close_and_reap_keep_directory_and_room_count_in_sync() {
     // Reaping closes the member-less room but not the occupied one.
     let reaped = cf.reap_empty_rooms();
     assert_eq!(reaped, vec![idle]);
-    assert!(cf.members(keep).is_ok());
+    assert!(cf.read_room(keep, |r| Ok(r.member_names())).is_ok());
     let total: u64 = (0..2).map(|s| cf.shard_server(s).room_count()).sum();
     assert_eq!(total, 1);
     assert_eq!(Metrics::metrics(&cf).rooms, 1);
@@ -280,14 +283,20 @@ fn migration_is_transparent_to_live_members() {
         .find(|&s| cf.shard_server(s).room_count() == 1)
         .unwrap();
     let target = 1 - source;
-    let before = cf.last_seq(room).unwrap();
+    let before = cf
+        .read_room(room, |r| Ok(r.change_log().last_seq()))
+        .unwrap();
 
     cf.migrate_room(room, target).unwrap();
 
     assert_eq!(cf.shard_server(source).room_count(), 0);
     assert_eq!(cf.shard_server(target).room_count(), 1);
     // The total order continues: same seq counter, same replay horizon.
-    assert_eq!(cf.last_seq(room).unwrap(), before);
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap(),
+        before
+    );
     for i in 0..5 {
         cf.act(
             room,
@@ -315,8 +324,15 @@ fn migration_is_transparent_to_live_members() {
         assert_eq!(chats.iter().filter(|t| t.starts_with("post-")).count(), 5);
     }
     // The annotated shared object crossed over too.
-    assert_eq!(cf.object_elements(room, image_id).unwrap(), 0);
-    assert_eq!(cf.members(room).unwrap().len(), 2);
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        0
+    );
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.member_names())).unwrap().len(),
+        2
+    );
     assert_eq!(Metrics::metrics(&cf).migrations, 1);
 }
 
@@ -401,7 +417,11 @@ fn failover_rebuilds_rooms_with_zero_event_loss() {
     // The uninterrupted observer's view of the total order, pre-crash.
     let reference: Vec<_> = conn.events.try_iter().collect();
     let last_seen = reference.last().unwrap().seq;
-    assert_eq!(cf.last_seq(doomed).unwrap(), last_seen);
+    assert_eq!(
+        cf.read_room(doomed, |r| Ok(r.change_log().last_seq()))
+            .unwrap(),
+        last_seen
+    );
     // The replica is current before the crash.
     assert_eq!(cf.replication_status(doomed).unwrap().0, last_seen);
 
@@ -436,7 +456,11 @@ fn failover_rebuilds_rooms_with_zero_event_loss() {
 
     // The rebuilt room keeps serving: state survived (annotation intact),
     // and new events continue the dense order.
-    assert_eq!(cf.object_elements(doomed, image_id).unwrap(), 1);
+    assert_eq!(
+        cf.read_room(doomed, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        1
+    );
     cf.act(
         doomed,
         "user-0",
@@ -567,13 +591,23 @@ fn property_freeze_export_rebuild_is_identity() {
             }
         }
 
-        let members_before = source.members(room).unwrap();
-        let last_seq = source.last_seq(room).unwrap();
-        let log_len = source.change_log_len(room).unwrap();
-        let elements = source.object_elements(room, image_id).unwrap();
+        let members_before = source.read_room(room, |r| Ok(r.member_names())).unwrap();
+        let last_seq = source
+            .read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap();
+        let log_len = source
+            .read_room(room, |r| Ok(r.change_log().len()))
+            .unwrap();
+        let elements = source
+            .read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap();
         let views: Vec<String> = users
             .iter()
-            .map(|u| source.render_presentation(room, u).unwrap())
+            .map(|u| {
+                source
+                    .read_room(room, |r| r.render_presentation(u))
+                    .unwrap()
+            })
             .collect();
         assert!(log_len > 0, "history must leave a non-empty tail");
 
@@ -583,17 +617,31 @@ fn property_freeze_export_rebuild_is_identity() {
         dest.adopt_room(detached).unwrap();
 
         // Everything observable is preserved on the destination.
-        assert_eq!(dest.members(room).unwrap(), members_before, "seed {seed}");
-        assert_eq!(dest.last_seq(room).unwrap(), last_seq, "seed {seed}");
-        assert_eq!(dest.change_log_len(room).unwrap(), log_len, "seed {seed}");
         assert_eq!(
-            dest.object_elements(room, image_id).unwrap(),
+            dest.read_room(room, |r| Ok(r.member_names())).unwrap(),
+            members_before,
+            "seed {seed}"
+        );
+        assert_eq!(
+            dest.read_room(room, |r| Ok(r.change_log().last_seq()))
+                .unwrap(),
+            last_seq,
+            "seed {seed}"
+        );
+        assert_eq!(
+            dest.read_room(room, |r| Ok(r.change_log().len())).unwrap(),
+            log_len,
+            "seed {seed}"
+        );
+        assert_eq!(
+            dest.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+                .unwrap(),
             elements,
             "seed {seed}"
         );
         for (u, view) in users.iter().zip(&views) {
             assert_eq!(
-                &dest.render_presentation(room, u).unwrap(),
+                &dest.read_room(room, |r| r.render_presentation(u)).unwrap(),
                 view,
                 "seed {seed}"
             );
@@ -667,9 +715,20 @@ fn roles_survive_migration_and_failover() {
 
     // Live migration carries the role table with the room.
     cf.migrate_room(room, 1).unwrap();
-    assert_eq!(cf.role_of(room, "user-0").unwrap(), Some(Role::Presenter));
-    assert_eq!(cf.role_of(room, "user-1").unwrap(), Some(Role::Viewer));
-    assert_eq!(cf.presenter(room).unwrap().as_deref(), Some("user-0"));
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.role_of("user-0"))).unwrap(),
+        Some(Role::Presenter)
+    );
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.role_of("user-1"))).unwrap(),
+        Some(Role::Viewer)
+    );
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.presenter().map(str::to_string)))
+            .unwrap()
+            .as_deref(),
+        Some("user-0")
+    );
     // The presenter seat stays unique across the move (and the cause is
     // non-transient, so the router surfaces it instead of retrying).
     assert!(matches!(
@@ -691,8 +750,16 @@ fn roles_survive_migration_and_failover() {
     cf.kill_shard(1);
     let moved = cf.advance_and_fail_over(10.0).unwrap();
     assert_eq!(moved, vec![(room, 0)]);
-    assert_eq!(cf.role_of(room, "user-0").unwrap(), Some(Role::Presenter));
-    assert_eq!(cf.presenter(room).unwrap().as_deref(), Some("user-0"));
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.role_of("user-0"))).unwrap(),
+        Some(Role::Presenter)
+    );
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.presenter().map(str::to_string)))
+            .unwrap()
+            .as_deref(),
+        Some("user-0")
+    );
     assert!(matches!(
         cf.join(room, &JoinRequest::presenter("user-2")),
         Err(ServerError::JoinRejected {
@@ -747,7 +814,11 @@ fn journal_tail_is_bounded_by_compaction_and_failover_stays_lossless() {
     let compacted = cf.maintain_replicas().unwrap();
     assert!(compacted >= 1, "over-cap tail was not compacted");
     let (replicated, tail) = cf.replication_status(room).unwrap();
-    assert_eq!(replicated, cf.last_seq(room).unwrap());
+    assert_eq!(
+        replicated,
+        cf.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap()
+    );
     assert!(tail <= 8, "tail {tail} exceeds the configured cap");
     let snap = cf.metrics();
     assert!(snap.counters["cluster.journal.compact.count"] >= 1);
@@ -757,12 +828,18 @@ fn journal_tail_is_bounded_by_compaction_and_failover_stays_lossless() {
     // The compacted replica fails over with the same zero-loss guarantee
     // an uncompacted one gives: the rebuilt room continues the exact
     // sequence the client last saw.
-    let last = cf.last_seq(room).unwrap();
+    let last = cf
+        .read_room(room, |r| Ok(r.change_log().last_seq()))
+        .unwrap();
     drop(conn);
     cf.kill_shard(0);
     let moved = cf.advance_and_fail_over(10.0).unwrap();
     assert_eq!(moved, vec![(room, 1)]);
-    assert_eq!(cf.last_seq(room).unwrap(), last);
+    assert_eq!(
+        cf.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap(),
+        last
+    );
     assert_eq!(cf.metrics().counters["cluster.failover.lossy.count"], 0);
     let (_conn, catch_up) = cf.resync(room, "user-0", last).unwrap();
     assert!(matches!(catch_up, Resync::Events(ref evs) if evs.is_empty()));
@@ -863,7 +940,10 @@ fn stress_unlocked_data_plane_beside_migration_and_housekeeping() {
         for conn in room_conns {
             conn.events.try_iter().for_each(drop);
         }
-        cursor.push(cf.last_seq(rooms[r]).unwrap());
+        cursor.push(
+            cf.read_room(rooms[r], |r| Ok(r.change_log().last_seq()))
+                .unwrap(),
+        );
     }
 
     // Pacing, both ways, on progress counters instead of sleeps: the
@@ -953,7 +1033,9 @@ fn stress_unlocked_data_plane_beside_migration_and_housekeeping() {
 
     assert!(cf.metrics().counters["cluster.journal.compact.count"] > 0);
     for (r, room_conns) in conns.iter().enumerate() {
-        let last = cf.last_seq(rooms[r]).unwrap();
+        let last = cf
+            .read_room(rooms[r], |r| Ok(r.change_log().last_seq()))
+            .unwrap();
         for conn in room_conns {
             let seqs: Vec<u64> = conn.events.try_iter().map(|e| e.seq).collect();
             let dense = (cursor[r] + 1..=last).eq(seqs.iter().copied());

@@ -31,7 +31,10 @@
 //!   image cost one storage read.
 //! * [`server`] — the [`server::InteractionServer`]
 //!   facade gluing rooms, the presentation engine, and the multimedia
-//!   database together.
+//!   database together. Queries go through
+//!   [`server::InteractionServer::read_room`], a closure over
+//!   [`room::Room`]'s `&self` API run under the room lock; commands
+//!   (mutations and capability-checked calls) stay typed methods.
 //! * [`cluster`] — the sharded interaction cluster: a consistent-hash
 //!   room directory over N `InteractionServer` shards, heartbeat-based
 //!   failure detection in virtual time, live room migration

@@ -352,9 +352,9 @@ impl Room {
         }
     }
 
-    /// Current members.
-    pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.name.as_str()).collect()
+    /// Current members, in join order.
+    pub fn member_names(&self) -> Vec<String> {
+        self.members.iter().map(|m| m.name.clone()).collect()
     }
 
     /// Propagation statistics.
@@ -1074,6 +1074,12 @@ impl Room {
             room: self.id,
         })?;
         Ok(self.engine.presentation_for(&self.doc, session)?)
+    }
+
+    /// Renders the viewer's presentation as text (the Figure-5 content
+    /// pane): what the viewer's client shows right now.
+    pub fn render_presentation(&self, user: &str) -> Result<String> {
+        Ok(self.presentation_for(user)?.render(&self.doc))
     }
 
     /// Registers a dynamic event trigger owned by `user`; returns its id.

@@ -6,10 +6,10 @@ use crate::events::{Action, TriggerCondition};
 use crate::fanout::{EventQueue, EventStream};
 use crate::resync::{Resync, SequencedEvent};
 use crate::role::{Capability, JoinRequest, Role};
-use crate::room::{Room, RoomConfig, RoomId, RoomState, RoomStats, SharedObjectId};
+use crate::room::{Room, RoomConfig, RoomId, RoomState, RoomStats};
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
-use rcmo_core::{MultimediaDocument, Presentation};
+use rcmo_core::MultimediaDocument;
 use rcmo_imaging::{AnnotatedImage, GrayImage};
 use rcmo_mediadb::{AccessLevel, DocumentObject, MediaDb};
 use rcmo_obs::{bounds, Counter, Gauge, Histogram, Metrics, MetricsSnapshot, Registry};
@@ -362,11 +362,6 @@ impl InteractionServer {
         })
     }
 
-    /// A room's current configuration, as one [`RoomConfig`] value.
-    pub fn room_config(&self, room: RoomId) -> Result<RoomConfig> {
-        self.with_room(room, |r| Ok(r.config()))
-    }
-
     /// The shareable handle of a room (the per-room lock of the two-level
     /// scheme). The map's read lock is held only for the lookup.
     ///
@@ -382,8 +377,30 @@ impl InteractionServer {
             .ok_or(ServerError::UnknownRoom(room))
     }
 
+    /// Runs a query against one room's state — the single read entry
+    /// point for everything [`Room`]'s `&self` API answers (members,
+    /// roles, presenter, stats, change log, configuration, objects,
+    /// presentations, the document). Commands that mutate a room or check
+    /// a capability stay typed methods of the server.
+    ///
+    /// `f` runs **under the room lock**: keep it short, and never call
+    /// back into the server (or its cluster frontend) from inside it —
+    /// the room lock is a leaf (see [`RoomHandle`]). It costs one room-map
+    /// lookup (`server.rooms.map.read.count`) and one room lock
+    /// (`server.room.lock.{wait,hold}.us`), like every other room call.
+    pub fn read_room<R>(&self, room: RoomId, f: impl FnOnce(&Room) -> Result<R>) -> Result<R> {
+        self.with_room(room, |r| f(r))
+    }
+
     fn with_room<R>(&self, room: RoomId, f: impl FnOnce(&mut Room) -> Result<R>) -> Result<R> {
         let handle = self.room_handle(room)?;
+        self.lock_timed(&handle, f)
+    }
+
+    /// Runs `f` under `handle`'s lock, recording the lock wait and hold
+    /// times. Every room lock the server takes for a client call goes
+    /// through here.
+    fn lock_timed<R>(&self, handle: &RoomHandle, f: impl FnOnce(&mut Room) -> R) -> R {
         let queued = self.clock.now_us();
         let mut guard = handle.lock();
         let acquired = self.clock.now_us();
@@ -442,16 +459,6 @@ impl InteractionServer {
         self.with_room(room, |r| r.hand_off_presenter(from, to))
     }
 
-    /// The member's current role (live or reserved), if any.
-    pub fn role_of(&self, room: RoomId, user: &str) -> Result<Option<Role>> {
-        self.with_room(room, |r| Ok(r.role_of(user)))
-    }
-
-    /// Who holds the room's presenter seat (live or reserved), if anyone.
-    pub fn presenter(&self, room: RoomId) -> Result<Option<String>> {
-        self.with_room(room, |r| Ok(r.presenter().map(str::to_string)))
-    }
-
     /// Reconnects a client whose event stream was lost. `last_seen_seq` is
     /// the highest sequence number the client observed (`0` for none).
     ///
@@ -488,16 +495,6 @@ impl InteractionServer {
     /// Performs an action in a room.
     pub fn act(&self, room: RoomId, user: &str, action: Action) -> Result<()> {
         self.with_room(room, |r| r.act(user, action))
-    }
-
-    /// The viewer's current presentation of the room's document.
-    pub fn presentation(&self, room: RoomId, user: &str) -> Result<Presentation> {
-        self.with_room(room, |r| r.presentation_for(user))
-    }
-
-    /// The document hierarchy outline (the client GUI's left pane).
-    pub fn outline(&self, room: RoomId) -> Result<String> {
-        self.with_room(room, |r| Ok(r.document().outline()))
     }
 
     /// Brings a stored image object into the room as a shared working copy
@@ -660,16 +657,6 @@ impl InteractionServer {
         Ok(warmed)
     }
 
-    /// Renders a shared object's current state (base + annotations).
-    pub fn render_object(&self, room: RoomId, object: SharedObjectId) -> Result<GrayImage> {
-        self.with_room(room, |r| Ok(r.object(object)?.render()))
-    }
-
-    /// Number of annotation elements on a shared object.
-    pub fn object_elements(&self, room: RoomId, object: SharedObjectId) -> Result<usize> {
-        self.with_room(room, |r| Ok(r.object(object)?.num_elements()))
-    }
-
     /// Saves a shared object's annotated state back into the database
     /// (serialised overlay in `FLD_CM`, base pixels unchanged) and discards
     /// it from the room.
@@ -805,38 +792,10 @@ impl InteractionServer {
         let handles: Vec<RoomHandle> = self.rooms.read().values().cloned().collect();
         let mut reached = 0;
         for handle in handles {
-            let queued = self.clock.now_us();
-            let mut room = handle.lock();
-            let acquired = self.clock.now_us();
-            self.room_lock_wait.record(acquired.saturating_sub(queued));
-            room.announce(user, text);
-            drop(room);
-            self.room_lock_hold
-                .record(self.clock.now_us().saturating_sub(acquired));
+            self.lock_timed(&handle, |r| r.announce(user, text));
             reached += 1;
         }
         Ok(reached)
-    }
-
-    /// Renders a viewer's presentation as text (the Figure-5 content pane):
-    /// what the viewer's client shows right now.
-    pub fn render_presentation(&self, room: RoomId, user: &str) -> Result<String> {
-        self.with_room(room, |r| {
-            let p = r.presentation_for(user)?;
-            Ok(p.render(r.document()))
-        })
-    }
-
-    /// Members of a room.
-    pub fn members(&self, room: RoomId) -> Result<Vec<String>> {
-        self.with_room(room, |r| {
-            Ok(r.member_names().iter().map(|s| s.to_string()).collect())
-        })
-    }
-
-    /// Propagation statistics of a room.
-    pub fn room_stats(&self, room: RoomId) -> Result<RoomStats> {
-        self.with_room(room, |r| Ok(r.stats()))
     }
 
     /// Snapshot of every metric the server (and its rooms, through parent
@@ -844,17 +803,6 @@ impl InteractionServer {
     /// [`Metrics::metrics_snapshot`](rcmo_obs::Metrics::metrics_snapshot).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
-    }
-
-    /// Number of events retained in a room's change buffer (bounded by its
-    /// ring capacity).
-    pub fn change_log_len(&self, room: RoomId) -> Result<usize> {
-        self.with_room(room, |r| Ok(r.change_log().len()))
-    }
-
-    /// Sequence number of the latest event in a room's total order.
-    pub fn last_seq(&self, room: RoomId) -> Result<u64> {
-        self.with_room(room, |r| Ok(r.change_log().last_seq()))
     }
 }
 

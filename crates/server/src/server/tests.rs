@@ -92,7 +92,10 @@ fn create_join_leave_lifecycle() {
     let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
     let a = srv.join_default(room, "dr-a").unwrap();
     let b = srv.join_default(room, "dr-b").unwrap();
-    assert_eq!(srv.members(room).unwrap(), vec!["dr-a", "dr-b"]);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.member_names())).unwrap(),
+        vec!["dr-a", "dr-b"]
+    );
     // dr-a saw both joins; dr-b only its own.
     let ea = drain(&a);
     assert_eq!(
@@ -146,7 +149,7 @@ fn choice_propagates_and_reconfigures() {
     drain(&b);
 
     // Default: CT flat, X-ray icon.
-    let p = srv.presentation(room, "dr-a").unwrap();
+    let p = srv.read_room(room, |r| r.presentation_for("dr-a")).unwrap();
     assert_eq!(p.form(ct), 0);
     assert_eq!(p.form(xray), 1);
 
@@ -160,10 +163,10 @@ fn choice_propagates_and_reconfigures() {
         },
     )
     .unwrap();
-    let pa = srv.presentation(room, "dr-a").unwrap();
+    let pa = srv.read_room(room, |r| r.presentation_for("dr-a")).unwrap();
     assert_eq!(pa.form(ct), 2);
     assert_eq!(pa.form(xray), 0);
-    let pb = srv.presentation(room, "dr-b").unwrap();
+    let pb = srv.read_room(room, |r| r.presentation_for("dr-b")).unwrap();
     assert_eq!(pb.form(ct), 0, "dr-b keeps the default view");
 
     // Both clients saw the same two events, in the same order.
@@ -176,7 +179,12 @@ fn choice_propagates_and_reconfigures() {
     // Withdrawing restores the author default.
     srv.act(room, "dr-a", Action::Unchoose { component: ct })
         .unwrap();
-    assert_eq!(srv.presentation(room, "dr-a").unwrap().form(ct), 0);
+    assert_eq!(
+        srv.read_room(room, |r| r.presentation_for("dr-a"))
+            .unwrap()
+            .form(ct),
+        0
+    );
 }
 
 #[test]
@@ -219,7 +227,11 @@ fn annotations_propagate_and_render() {
         },
     )
     .unwrap();
-    assert_eq!(srv.object_elements(room, image_id).unwrap(), 2);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        2
+    );
 
     // Both partners received both deltas (and the deltas are small).
     let eb = drain(&b);
@@ -234,7 +246,9 @@ fn annotations_propagate_and_render() {
     }
 
     // The render shows the ink.
-    let rendered = srv.render_object(room, image_id).unwrap();
+    let rendered = srv
+        .read_room(room, |r| Ok(r.object(image_id)?.render()))
+        .unwrap();
     let lit = rendered.pixels().iter().filter(|&&p| p >= 250).count();
     assert!(lit > 20);
 
@@ -255,7 +269,11 @@ fn annotations_propagate_and_render() {
         },
     )
     .unwrap();
-    assert_eq!(srv.object_elements(room, image_id).unwrap(), 1);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        1
+    );
 }
 
 #[test]
@@ -350,7 +368,7 @@ fn global_operation_affects_everyone_and_persists() {
     )
     .unwrap();
     for user in ["dr-a", "dr-b"] {
-        let p = srv.presentation(room, user).unwrap();
+        let p = srv.read_room(room, |r| r.presentation_for(user)).unwrap();
         assert_eq!(p.derived_states().len(), 1, "{user} sees the derived var");
         assert_eq!(p.derived_states()[0].1, "segmentation applied");
     }
@@ -358,7 +376,9 @@ fn global_operation_affects_everyone_and_persists() {
     srv.save_document(room, "dr-a").unwrap();
     let room2 = srv.create_room("dr-b", "second", doc_id).unwrap();
     let _c = srv.join_default(room2, "dr-b").unwrap();
-    let p = srv.presentation(room2, "dr-b").unwrap();
+    let p = srv
+        .read_room(room2, |r| r.presentation_for("dr-b"))
+        .unwrap();
     assert_eq!(p.derived_states().len(), 1, "derived var survived storage");
 }
 
@@ -380,14 +400,14 @@ fn local_operation_stays_private() {
     )
     .unwrap();
     assert_eq!(
-        srv.presentation(room, "dr-a")
+        srv.read_room(room, |r| r.presentation_for("dr-a"))
             .unwrap()
             .derived_states()
             .len(),
         1
     );
     assert!(srv
-        .presentation(room, "dr-b")
+        .read_room(room, |r| r.presentation_for("dr-b"))
         .unwrap()
         .derived_states()
         .is_empty());
@@ -414,7 +434,9 @@ fn layered_image_payload_can_be_opened() {
     let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
     let _a = srv.join_default(room, "dr-a").unwrap();
     srv.open_image(room, "dr-a", lic_id).unwrap();
-    let rendered = srv.render_object(room, lic_id).unwrap();
+    let rendered = srv
+        .read_room(room, |r| Ok(r.object(lic_id)?.render()))
+        .unwrap();
     assert_eq!(rendered.width(), 64);
 }
 
@@ -441,7 +463,9 @@ fn save_and_close_image_persists_annotations() {
     .unwrap();
     srv.save_and_close_image(room, "dr-a", image_id).unwrap();
     // The object left the room.
-    assert!(srv.render_object(room, image_id).is_err());
+    assert!(srv
+        .read_room(room, |r| Ok(r.object(image_id)?.render()))
+        .is_err());
     // The stored overlay can be reloaded under the *same* id (the save is
     // an atomic in-place replace, not delete + reinsert).
     let obj = srv.database().get_image("dr-a", image_id).unwrap();
@@ -481,7 +505,11 @@ fn failed_save_keeps_annotations_in_the_room() {
     // The intern's save is denied by the database ACL — but the working
     // copy (and its annotation) must return to the room, not vanish.
     assert!(srv.save_and_close_image(room, "intern", image_id).is_err());
-    assert_eq!(srv.object_elements(room, image_id).unwrap(), 1);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        1
+    );
     // The stored object is untouched.
     let obj = srv.database().get_image("dr-a", image_id).unwrap();
     assert!(obj.cm.is_empty(), "stored overlay unchanged by failed save");
@@ -516,10 +544,13 @@ fn stats_and_change_log_accumulate() {
         },
     )
     .unwrap();
-    let stats = srv.room_stats(room).unwrap();
+    let stats = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     // 2 joins + 5 chats + choice + presentation = 9 logged changes.
     assert_eq!(stats.changes_logged, 9);
-    assert_eq!(srv.change_log_len(room).unwrap(), 9);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.change_log().len())).unwrap(),
+        9
+    );
     assert!(stats.bytes_delivered > 0);
     assert!(stats.events_delivered >= stats.changes_logged);
 }
@@ -585,7 +616,11 @@ fn concurrent_partners_see_one_total_order() {
     let ea = drain(&a);
     let eb = drain(&b);
     assert_eq!(ea, eb, "both partners observed the same total order");
-    assert_eq!(srv.object_elements(room, image_id).unwrap(), 50);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+            .unwrap(),
+        50
+    );
 }
 
 #[test]
@@ -775,7 +810,10 @@ fn dead_members_are_reaped_and_their_freezes_released() {
     // dr-b's client crashes: the receiver is dropped without leaving.
     drop(b);
     // Nothing is detected until the next broadcast...
-    assert_eq!(srv.members(room).unwrap(), vec!["dr-a", "dr-b"]);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.member_names())).unwrap(),
+        vec!["dr-a", "dr-b"]
+    );
     srv.act(
         room,
         "dr-a",
@@ -785,7 +823,10 @@ fn dead_members_are_reaped_and_their_freezes_released() {
     )
     .unwrap();
     // ...which reaps dr-b and releases the freeze.
-    assert_eq!(srv.members(room).unwrap(), vec!["dr-a"]);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.member_names())).unwrap(),
+        vec!["dr-a"]
+    );
     let events = drain(&a);
     assert!(events.iter().any(
         |e| matches!(e, RoomEvent::Released { object, by } if *object == image_id && by == "dr-b")
@@ -797,7 +838,7 @@ fn dead_members_are_reaped_and_their_freezes_released() {
     srv.act(room, "dr-a", Action::Freeze { object: image_id })
         .unwrap();
 
-    let stats = srv.room_stats(room).unwrap();
+    let stats = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     assert_eq!(stats.members_reaped, 1);
     assert!(stats.delivery_failures > 0, "failed send was recorded");
 }
@@ -809,7 +850,7 @@ fn failed_sends_are_not_counted_as_delivered() {
     let a = srv.join_default(room, "dr-a").unwrap();
     let b = srv.join_default(room, "dr-b").unwrap();
     drain(&a);
-    let before = srv.room_stats(room).unwrap();
+    let before = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     drop(b);
     srv.act(
         room,
@@ -819,7 +860,7 @@ fn failed_sends_are_not_counted_as_delivered() {
         },
     )
     .unwrap();
-    let after = srv.room_stats(room).unwrap();
+    let after = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     // The chat reached dr-a only; the send to dr-b (and the follow-up
     // Left, sent to dr-a) must split cleanly between the two counters.
     assert_eq!(after.delivery_failures, before.delivery_failures + 1);
@@ -905,7 +946,10 @@ fn resync_within_horizon_replays_identical_order() {
     for w in b_seen.windows(2) {
         assert_eq!(w[1].seq, w[0].seq + 1);
     }
-    assert_eq!(srv.members(room).unwrap(), vec!["dr-a", "dr-b"]);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.member_names())).unwrap(),
+        vec!["dr-a", "dr-b"]
+    );
 }
 
 #[test]
@@ -939,7 +983,11 @@ fn resync_beyond_horizon_returns_snapshot() {
     // The snapshot reflects the room state at its seq: document, open
     // objects, freezes, members. dr-b had been reaped, so the rejoin
     // broadcast one `Joined` event *after* the snapshot was taken.
-    assert_eq!(snap.seq + 1, srv.last_seq(room).unwrap());
+    assert_eq!(
+        snap.seq + 1,
+        srv.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap()
+    );
     assert!(!snap.document.is_empty());
     assert_eq!(snap.objects.len(), 1);
     assert_eq!(snap.objects[0].0, image_id);
@@ -985,9 +1033,16 @@ fn change_log_is_bounded_under_stress() {
             drain(&a); // keep the client channel from growing instead
         }
     }
-    assert_eq!(srv.change_log_len(room).unwrap(), 256);
-    assert_eq!(srv.last_seq(room).unwrap(), 10_001); // 1 join + 10k chats
-                                                     // A barely-behind client still replays; an ancient one snapshots.
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.change_log().len())).unwrap(),
+        256
+    );
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap(),
+        10_001
+    ); // 1 join + 10k chats
+       // A barely-behind client still replays; an ancient one snapshots.
     let (_c1, catch_up) = srv.resync(room, "dr-b", 10_000).unwrap();
     assert!(matches!(catch_up, Resync::Events(e) if e.len() == 1));
     let (_c2, catch_up) = srv.resync(room, "dr-b", 5).unwrap();
@@ -999,7 +1054,9 @@ fn render_presentation_shows_content_pane() {
     let (srv, doc_id, _, ct, _) = setup();
     let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
     let _a = srv.join_default(room, "dr-a").unwrap();
-    let text = srv.render_presentation(room, "dr-a").unwrap();
+    let text = srv
+        .read_room(room, |r| r.render_presentation("dr-a"))
+        .unwrap();
     assert!(text.contains("CT: flat"));
     assert!(text.contains("X-ray: icon"));
     srv.act(
@@ -1011,10 +1068,14 @@ fn render_presentation_shows_content_pane() {
         },
     )
     .unwrap();
-    let text = srv.render_presentation(room, "dr-a").unwrap();
+    let text = srv
+        .read_room(room, |r| r.render_presentation("dr-a"))
+        .unwrap();
     assert!(!text.contains("CT: flat"));
     assert!(text.contains("X-ray: flat"));
-    assert!(srv.render_presentation(room, "ghost").is_err());
+    assert!(srv
+        .read_room(room, |r| r.render_presentation("ghost"))
+        .is_err());
 }
 
 #[test]
@@ -1075,7 +1136,10 @@ fn announcement_does_not_hold_the_map_across_rooms() {
     )
     .unwrap();
     let r3 = srv.create_room("dr-a", "new", doc_id).unwrap();
-    assert!(srv.members(r3).unwrap().is_empty());
+    assert!(srv
+        .read_room(r3, |r| Ok(r.member_names()))
+        .unwrap()
+        .is_empty());
     assert!(!done.load(Ordering::SeqCst), "announcer is still blocked");
 
     drop(guard);
@@ -1118,9 +1182,14 @@ fn rooms_progress_in_parallel_while_one_room_is_stalled() {
         },
     )
     .unwrap();
-    assert!(srv.render_object(fast, image_id).is_ok());
-    assert!(srv.presentation(fast, "dr-b").is_ok());
-    assert_eq!(srv.members(fast).unwrap(), vec!["dr-b".to_string()]);
+    assert!(srv
+        .read_room(fast, |r| Ok(r.object(image_id)?.render()))
+        .is_ok());
+    assert!(srv.read_room(fast, |r| r.presentation_for("dr-b")).is_ok());
+    assert_eq!(
+        srv.read_room(fast, |r| Ok(r.member_names())).unwrap(),
+        vec!["dr-b".to_string()]
+    );
     drop(guard);
     // The stalled room is live again.
     srv.act(
@@ -1135,7 +1204,7 @@ fn rooms_progress_in_parallel_while_one_room_is_stalled() {
 
 /// The satellite stress test: 4 rooms × 2 actors (8 actor threads) plus a
 /// churn thread (create_room/join/leave) and an observer thread
-/// (`metrics()`, `Debug`, `room_stats`) all running concurrently. Asserts
+/// (`metrics()`, `Debug`, room stats) all running concurrently. Asserts
 /// per-room isolation and event-sequence integrity afterwards.
 #[test]
 fn stress_concurrent_rooms_members_and_observers() {
@@ -1224,10 +1293,11 @@ fn stress_concurrent_rooms_members_and_observers() {
                             );
                         }
                         3 => {
-                            srv.presentation(room, &user).unwrap();
+                            srv.read_room(room, |r| r.presentation_for(&user)).unwrap();
                         }
                         _ => {
-                            srv.render_object(room, image_id).unwrap();
+                            srv.read_room(room, |r| Ok(r.object(image_id)?.render()))
+                                .unwrap();
                         }
                     }
                 }
@@ -1313,8 +1383,9 @@ fn stress_concurrent_rooms_members_and_observers() {
             }
         }
         assert_eq!(
-            srv.last_seq(room).unwrap(),
-            srv.change_log_len(room).unwrap() as u64
+            srv.read_room(room, |r| Ok(r.change_log().last_seq()))
+                .unwrap(),
+            srv.read_room(room, |r| Ok(r.change_log().len())).unwrap() as u64
         );
     }
     // The lock instrumentation saw the whole run.
@@ -1431,8 +1502,15 @@ fn viewer_is_denied_at_every_mutating_entry_point() {
     );
 
     // Every denial above was counted, and none mutated room state.
-    assert_eq!(srv.room_stats(room).unwrap().actions_denied, 12);
-    assert!(srv.object_elements(room, image_id).is_ok());
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.stats()))
+            .unwrap()
+            .actions_denied,
+        12
+    );
+    assert!(srv
+        .read_room(room, |r| Ok(r.object(image_id)?.num_elements()))
+        .is_ok());
 
     // What the viewer *can* do: chat and adjust their own view.
     srv.act(
@@ -1472,10 +1550,16 @@ fn moderator_evicts_and_the_seat_is_freed() {
     assert!(srv.evict(room, "dr-b", "dr-b").is_err());
 
     srv.evict(room, "dr-b", "student").unwrap();
-    assert!(!srv.members(room).unwrap().contains(&"student".to_string()));
+    assert!(!srv
+        .read_room(room, |r| Ok(r.member_names()))
+        .unwrap()
+        .contains(&"student".to_string()));
     // Voluntary-removal semantics: an evicted member holds no reserved
     // role...
-    assert_eq!(srv.role_of(room, "student").unwrap(), None);
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.role_of("student"))).unwrap(),
+        None
+    );
     // ...and the eviction is a first-class event naming the authority.
     let seen = drain(&moderator);
     assert!(seen.contains(&RoomEvent::Evicted {
@@ -1493,7 +1577,12 @@ fn presenter_seat_is_unique_and_hands_off_mid_session() {
     let room = srv.create_room("dr-a", "lecture", doc_id).unwrap();
     let prof = srv.join(room, &JoinRequest::presenter("dr-a")).unwrap();
     assert_eq!(prof.role, Role::Presenter);
-    assert_eq!(srv.presenter(room).unwrap().as_deref(), Some("dr-a"));
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.presenter().map(str::to_string)))
+            .unwrap()
+            .as_deref(),
+        Some("dr-a")
+    );
 
     // A second presenter join is rejected with the structured cause (and
     // the cause is non-transient: clients should not retry it).
@@ -1526,8 +1615,16 @@ fn presenter_seat_is_unique_and_hands_off_mid_session() {
             },
         ]
     );
-    assert_eq!(srv.presenter(room).unwrap().as_deref(), Some("dr-b"));
-    assert_eq!(srv.role_of(room, "dr-a").unwrap(), Some(Role::Moderator));
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.presenter().map(str::to_string)))
+            .unwrap()
+            .as_deref(),
+        Some("dr-b")
+    );
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.role_of("dr-a"))).unwrap(),
+        Some(Role::Moderator)
+    );
 
     // The new presenter drives; the old one no longer holds the seat.
     srv.act(
@@ -1565,8 +1662,16 @@ fn slow_consumer_is_evicted_and_reclaims_role_by_resync() {
         .unwrap();
     }
     // The stalled member was evicted without ever blocking the presenter.
-    assert!(!srv.members(room).unwrap().contains(&"dr-b".to_string()));
-    assert!(srv.room_stats(room).unwrap().slow_consumers_evicted >= 1);
+    assert!(!srv
+        .read_room(room, |r| Ok(r.member_names()))
+        .unwrap()
+        .contains(&"dr-b".to_string()));
+    assert!(
+        srv.read_room(room, |r| Ok(r.stats()))
+            .unwrap()
+            .slow_consumers_evicted
+            >= 1
+    );
     let prof_saw = drain(&prof);
     assert!(prof_saw.contains(&RoomEvent::Left {
         user: "dr-b".into()
@@ -1576,7 +1681,10 @@ fn slow_consumer_is_evicted_and_reclaims_role_by_resync() {
     // it back, with a snapshot catch-up (their queue bound was far behind
     // the replay horizon is irrelevant — they were removed, so the room
     // replays or snapshots from their last seen seq).
-    assert_eq!(srv.role_of(room, "dr-b").unwrap(), Some(Role::Viewer));
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.role_of("dr-b"))).unwrap(),
+        Some(Role::Viewer)
+    );
     let (back, catch_up) = srv.resync(room, "dr-b", 2).unwrap();
     assert_eq!(back.role, Role::Viewer);
     match catch_up {
@@ -1601,7 +1709,7 @@ fn shared_payload_is_encoded_once_per_event() {
         })
         .collect();
 
-    let before = srv.room_stats(room).unwrap();
+    let before = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     for i in 0..10 {
         srv.act(
             room,
@@ -1612,7 +1720,7 @@ fn shared_payload_is_encoded_once_per_event() {
         )
         .unwrap();
     }
-    let after = srv.room_stats(room).unwrap();
+    let after = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     // Encode-once: 10 events → 10 encodes, though 17 members each got a
     // copy delivered (pointer fan-out, not payload fan-out).
     assert_eq!(after.events_encoded - before.events_encoded, 10);
@@ -1621,7 +1729,11 @@ fn shared_payload_is_encoded_once_per_event() {
         let seqs: Vec<u64> = conn.events.try_iter().map(|e| e.seq).collect();
         // Every viewer observed a gap-free suffix of the room's order.
         assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1));
-        assert_eq!(*seqs.last().unwrap(), srv.last_seq(room).unwrap());
+        assert_eq!(
+            *seqs.last().unwrap(),
+            srv.read_room(room, |r| Ok(r.change_log().last_seq()))
+                .unwrap()
+        );
     }
 }
 

@@ -464,7 +464,8 @@ fn run_epoch(w: &mut World, t_us: u64) {
     let rooms = w.oracle.tracked_rooms();
     let mut reached = Vec::with_capacity(rooms.len());
     for room in rooms {
-        reached.push((room, w.cf.last_seq(room).ok()));
+        let last_seq = w.cf.read_room(room, |r| Ok(r.change_log().last_seq()));
+        reached.push((room, last_seq.ok()));
     }
     w.oracle.epoch_check(&reached);
     w.trace(

@@ -1235,11 +1235,6 @@ pub struct ReadTransaction<'db> {
 }
 
 impl<'db> ReadTransaction<'db> {
-    /// The commit sequence number this snapshot observes.
-    pub fn snapshot_csn(&self) -> u64 {
-        self.snap.csn
-    }
-
     /// The shared read definitions over this snapshot's pages and catalog.
     pub(crate) fn reads(&self) -> Reads<'_, SnapshotReader<'_>> {
         Reads {

@@ -140,11 +140,6 @@ impl Page {
         PageKind::from_tag(self.data[4]).unwrap_or(PageKind::Free)
     }
 
-    /// Rewrites the kind tag (page reuse from the free list).
-    pub fn set_kind(&mut self, kind: PageKind) {
-        self.data[4] = kind as u8;
-    }
-
     /// Refreshes the stored checksum and returns the full image for writing.
     pub fn sealed_bytes(&mut self) -> &[u8; PAGE_SIZE] {
         let sum = crc32(&self.data[4..]);

@@ -81,7 +81,7 @@ fn main() {
     println!(
         "\nroom '{}' members: {:?}",
         room,
-        srv.members(room).unwrap()
+        srv.read_room(room, |r| Ok(r.member_names())).unwrap()
     );
 
     // dr-gudes freezes the image while he marks a lesion.
@@ -163,7 +163,9 @@ fn main() {
     drop(gudes);
 
     // The segmentation module actually runs on the shared image.
-    let rendered = srv.render_object(room, ct_id).unwrap();
+    let rendered = srv
+        .read_room(room, |r| Ok(r.object(ct_id)?.render()))
+        .unwrap();
     let mut seg = segment_image(&rendered, 6);
     println!(
         "\nsegmentation found {} regions (incl. background)",
@@ -184,7 +186,11 @@ fn main() {
     // Presentations: both doctors now see "segmentation applied".
     for user in ["dr-gudes", "dr-orlov"] {
         println!("\n{user}'s presentation:");
-        print!("{}", srv.render_presentation(room, user).unwrap());
+        print!(
+            "{}",
+            srv.read_room(room, |r| r.render_presentation(user))
+                .unwrap()
+        );
     }
 
     // Cooperative audio browsing: a voice memo is stored as PCM, analysed
@@ -232,7 +238,7 @@ fn main() {
     srv.save_document(room, "dr-orlov").unwrap();
     let (_gudes, _catch_up) = srv.resync(room, "dr-gudes", 0).unwrap();
     srv.save_and_close_image(room, "dr-gudes", ct_id).unwrap();
-    let stats = srv.room_stats(room).unwrap();
+    let stats = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     println!(
         "\npropagation: {} events, {} bytes delivered, {} changes buffered",
         stats.events_delivered, stats.bytes_delivered, stats.changes_logged

@@ -131,7 +131,8 @@ fn eight_threads_four_rooms_no_deadlock_no_crosstalk() {
                             );
                         }
                         _ => {
-                            srv.render_object(room, image_id).unwrap();
+                            srv.read_room(room, |r| Ok(r.object(image_id)?.render()))
+                                .unwrap();
                         }
                     }
                 }
@@ -249,10 +250,15 @@ fn stalled_room_does_not_block_the_server() {
         },
     )
     .unwrap();
-    srv.render_object(fast, image_id).unwrap();
-    srv.render_presentation(fast, "u-1-0").unwrap();
+    srv.read_room(fast, |r| Ok(r.object(image_id)?.render()))
+        .unwrap();
+    srv.read_room(fast, |r| r.render_presentation("u-1-0"))
+        .unwrap();
     let extra = srv.create_room("admin", "extra", doc_id).unwrap();
-    assert!(srv.members(extra).unwrap().is_empty());
+    assert!(srv
+        .read_room(extra, |r| Ok(r.member_names()))
+        .unwrap()
+        .is_empty());
     assert!(format!("{srv:?}").contains("rooms=3"));
     drop(guard);
     srv.act(

@@ -135,7 +135,7 @@ fn two_session_consultation_with_persistence() {
         let srv = InteractionServer::new(db);
         let room = srv.create_room("dr-b", "s2", doc_id).unwrap();
         let _c = srv.join_default(room, "dr-b").unwrap();
-        let p = srv.presentation(room, "dr-b").unwrap();
+        let p = srv.read_room(room, |r| r.presentation_for("dr-b")).unwrap();
         assert_eq!(p.derived_states().len(), 1);
         assert_eq!(p.form(comp), 0);
     }
@@ -232,6 +232,6 @@ fn room_scales_to_many_partners() {
         let n = w[0].len().min(w[1].len());
         assert_eq!(w[0][w[0].len() - n..], w[1][w[1].len() - n..]);
     }
-    let stats = srv.room_stats(room).unwrap();
+    let stats = srv.read_room(room, |r| Ok(r.stats())).unwrap();
     assert!(stats.events_delivered >= 8 * 16);
 }

@@ -1031,7 +1031,9 @@ fn fanout_queues_preserve_the_broadcast_total_order() {
             }
         }
 
-        let last = srv.last_seq(room).unwrap();
+        let last = srv
+            .read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap();
         let mut reference: Option<Vec<SequencedEvent>> = None;
         for (m, conn) in conns.iter().enumerate() {
             let got: Vec<SequencedEvent> = conn.events.try_iter().collect();

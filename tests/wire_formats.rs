@@ -10,7 +10,7 @@
 use rcmo::audio::segment::{decode_segments, encode_segments};
 use rcmo::audio::{AudioClass, Segment};
 use rcmo::codec::layered::info;
-use rcmo::codec::{decode_prefix, encode, EncoderConfig};
+use rcmo::codec::{decode_prefix, decode_resolution, encode, CodecError, EncoderConfig};
 use rcmo::core::cpnet::{decode_net, encode_net};
 use rcmo::core::{CpNet, FormKind, MediaRef, MultimediaDocument, PresentationForm, Value};
 use rcmo::imaging::{ct_phantom, AnnotatedImage, GrayImage, LineElement, TextElement};
@@ -391,6 +391,34 @@ fn overlay_element_count_is_bounded() {
     ));
 }
 
+/// `b"LIC1"` declaring a 65 535 × 65 535 image (Haar, one level) with one
+/// 4-byte layer: 28 bytes whose planes would need 17 GB.
+fn lic1_oversized() -> Vec<u8> {
+    let mut bytes = b"LIC1".to_vec();
+    bytes.extend_from_slice(&u16::MAX.to_le_bytes());
+    bytes.extend_from_slice(&u16::MAX.to_le_bytes());
+    bytes.extend_from_slice(&[0, 1, 1, 0]);
+    bytes.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    bytes.extend_from_slice(&4u32.to_le_bytes());
+    bytes.extend_from_slice(&[0; 4]);
+    bytes
+}
+
+#[test]
+fn lic1_declared_size_is_bounded() {
+    let bytes = lic1_oversized();
+    assert_eq!(bytes.len(), 28);
+    assert!(matches!(info(&bytes), Err(CodecError::Malformed(_))));
+    assert!(matches!(
+        decode_prefix(&bytes),
+        Err(CodecError::Malformed(_))
+    ));
+    assert!(matches!(
+        decode_resolution(&bytes, 1),
+        Err(CodecError::Malformed(_))
+    ));
+}
+
 /// A well-formed MMD1 stream whose embedded CP-net has fewer variables
 /// than the document has components.
 #[test]
@@ -480,6 +508,14 @@ fn golden_streams() -> Vec<(&'static str, Vec<u8>, Decode)> {
         (
             "LIC1",
             lic,
+            Box::new(|b| {
+                let _ = info(b);
+                let _ = decode_prefix(b);
+            }),
+        ),
+        (
+            "LIC1 declaring 65535x65535",
+            lic1_oversized(),
             Box::new(|b| {
                 let _ = info(b);
                 let _ = decode_prefix(b);
