@@ -232,11 +232,90 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
+    /// The bytewise kernel: one lookup per byte in a table built bit by bit.
+    /// The differential reference for [`crc32`].
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// `len` bytes of the SplitMix64 stream seeded with `seed`.
+    fn splitmix_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference() {
+        // Every short length at every alignment: the tail loop and each
+        // entry into the 16-byte blocks.
+        let buf = splitmix_bytes(0x5EED, 16 + 64);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+        // Whole page bodies, as sealed and verified.
+        for seed in 0..64 {
+            let body = splitmix_bytes(seed, PAGE_SIZE - 4);
+            assert_eq!(crc32(&body), crc32_bytewise(&body), "page body seed {seed}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let mut p = Page::new(PageKind::Heap);
+        p.body_mut()
+            .copy_from_slice(&splitmix_bytes(7, PAGE_SIZE - PAGE_HEADER));
+        let sealed = p.sealed_bytes().to_vec();
+        let mut bytes = sealed.clone();
+        for off in 0..PAGE_SIZE {
+            let bit = 1u8 << (off % 8);
+            bytes[off] ^= bit;
+            assert!(
+                matches!(
+                    Page::from_bytes(PageId(2), &bytes),
+                    Err(StorageError::Corrupt { page: 2, .. })
+                ),
+                "flip of bit {} at byte {off} not detected",
+                off % 8
+            );
+            bytes[off] ^= bit;
+        }
+        assert_eq!(bytes, sealed);
     }
 
     #[test]

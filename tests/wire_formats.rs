@@ -15,6 +15,7 @@ use rcmo::core::cpnet::{decode_net, encode_net};
 use rcmo::core::{CpNet, FormKind, MediaRef, MultimediaDocument, PresentationForm, Value};
 use rcmo::imaging::{ct_phantom, AnnotatedImage, GrayImage, LineElement, TextElement};
 use rcmo::storage::catalog::{decode_row, encode_row, IndexInfo, TableInfo};
+use rcmo::storage::page::{Page, PageKind};
 use rcmo::storage::wal::{Wal, WalRecord};
 use rcmo::storage::{BlobId, Column, ColumnType, MemBackend, PageId, RowValue, Schema, PAGE_SIZE};
 
@@ -304,6 +305,32 @@ fn wal_frames_golden() {
             WalRecord::Commit { txn: 8 },
         ]
     );
+}
+
+#[test]
+fn sealed_page_golden() {
+    // One fixed page of each kind: the whole sealed image's FNV-1a-64 and
+    // its stored checksum bytes (crc32 of bytes 4.., little-endian).
+    let golden: [(PageKind, u64, &str); 6] = [
+        (PageKind::Free, 10103624354349221723, "0689b671"),
+        (PageKind::Meta, 8341624431822718588, "9a4c5c68"),
+        (PageKind::Heap, 4025833335324510834, "809dd073"),
+        (PageKind::BTreeInternal, 4075863979038577319, "053db1e4"),
+        (PageKind::BTreeLeaf, 4523025913925555992, "ec3d9b95"),
+        (PageKind::Blob, 5415441936079542562, "df6ec86c"),
+    ];
+    for (kind, fnv, sum) in golden {
+        let mut page = Page::new(kind);
+        for (i, b) in page.body_mut().iter_mut().enumerate() {
+            *b = ((i * 31 + kind as usize) % 251) as u8;
+        }
+        let image = page.sealed_bytes();
+        assert_eq!(
+            (fnv1a64(image), to_hex(&image[..4])),
+            (fnv, sum.to_string()),
+            "sealed {kind:?} page"
+        );
+    }
 }
 
 #[test]
