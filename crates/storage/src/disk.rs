@@ -65,9 +65,10 @@ impl DiskManager {
         if id.0 >= self.pages {
             return Err(StorageError::PageOutOfBounds(id.0));
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.backend.read_at(id.0 * PAGE_SIZE as u64, &mut buf)?;
-        Page::from_bytes(id, &buf)
+        let mut image = Box::new([0u8; PAGE_SIZE]);
+        self.backend
+            .read_at(id.0 * PAGE_SIZE as u64, &mut image[..])?;
+        Page::from_image(id, image)
     }
 
     /// Seals (checksums) and writes a page. Extends the store if `id` is

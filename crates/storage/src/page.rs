@@ -115,31 +115,34 @@ impl Page {
         Page { data }
     }
 
-    /// Wraps a raw image read from storage, verifying its checksum.
-    pub fn from_bytes(page_id: PageId, bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(StorageError::Corrupt {
-                page: page_id.0,
-                detail: format!("image is {} bytes", bytes.len()),
-            });
-        }
-        let stored = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let computed = crc32(&bytes[4..]);
+    /// Takes a page image read from storage and verifies it in place: the
+    /// stored checksum, then the kind tag.
+    pub fn from_image(page_id: PageId, data: Box<[u8; PAGE_SIZE]>) -> Result<Self> {
+        let stored = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+        let computed = crc32(&data[4..]);
         if stored != computed {
             return Err(StorageError::Corrupt {
                 page: page_id.0,
                 detail: format!("checksum {computed:#x} != stored {stored:#x}"),
             });
         }
-        if PageKind::from_tag(bytes[4]).is_none() {
+        if PageKind::from_tag(data[4]).is_none() {
             return Err(StorageError::Corrupt {
                 page: page_id.0,
-                detail: format!("unknown page kind {}", bytes[4]),
+                detail: format!("unknown page kind {}", data[4]),
             });
         }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data.copy_from_slice(bytes);
         Ok(Page { data })
+    }
+
+    /// [`from_image`](Self::from_image) over a borrowed slice, which must be
+    /// exactly one page long.
+    pub fn from_bytes(page_id: PageId, bytes: &[u8]) -> Result<Self> {
+        let image: &[u8; PAGE_SIZE] = bytes.try_into().map_err(|_| StorageError::Corrupt {
+            page: page_id.0,
+            detail: format!("image is {} bytes", bytes.len()),
+        })?;
+        Page::from_image(page_id, Box::new(*image))
     }
 
     /// The page's kind tag.
