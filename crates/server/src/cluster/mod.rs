@@ -7,7 +7,7 @@
 //!   table (rooms are location-independent; placement can change).
 //! - [`health`]: per-shard heartbeat streams in virtual time, the
 //!   Alive → Suspect → Dead classification, and the sticky death latch.
-//! - [`journal`]: per-room standby replicas (checkpoint + replicated
+//! - `journal`: per-room standby replicas (checkpoint + replicated
 //!   change-log tail) held by the frontend, outside any shard.
 //! - [`frontend`]: the [`ClusterFrontend`] tying it together — routed
 //!   client API with bounded-backoff retry, migration, failover, and

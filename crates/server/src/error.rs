@@ -19,9 +19,9 @@ pub enum JoinRejectCause {
     ShardUnavailable,
     /// The room's member capacity is reached.
     AtCapacity,
-    /// The join requested [`Role::Presenter`](crate::role::Role::Presenter)
-    /// but another member already holds the seat. Join with a different
-    /// role, or wait for a presenter handoff.
+    /// The join requested [`Role::Presenter`] but another member already
+    /// holds the seat. Join with a different role, or wait for a presenter
+    /// handoff.
     PresenterSeatTaken,
 }
 

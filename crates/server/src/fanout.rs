@@ -11,7 +11,7 @@
 //!
 //! Each member's queue is **bounded**. A member that stops draining (a
 //! stalled client, a modem viewer far behind the stream) sees
-//! [`QueueSendError::Full`] on the send side; the room then evicts them
+//! `QueueSendError::Full` on the send side; the room then evicts them
 //! through the same reaping path PR 1 built for dead connections — the
 //! broadcast hot path never blocks and never buffers unboundedly. An
 //! evicted slow consumer re-enters through resync, which hands them a

@@ -800,7 +800,7 @@ impl InteractionServer {
 
     /// Snapshot of every metric the server (and its rooms, through parent
     /// chaining) recorded. Equivalent to
-    /// [`Metrics::metrics_snapshot`](rcmo_obs::Metrics::metrics_snapshot).
+    /// [`Metrics::metrics_snapshot`].
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
     }

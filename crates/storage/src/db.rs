@@ -56,7 +56,7 @@
 //! 1. **Append** — the write set's sealed after-images plus a commit record
 //!    go to the WAL under the log lock (no fsync yet in the default,
 //!    *deferred* mode).
-//! 2. **Publish** — a new immutable [`CommittedState`] (commit sequence
+//! 2. **Publish** — a new immutable `CommittedState` (commit sequence
 //!    number, copy-on-write page overlay, catalog snapshot) becomes visible
 //!    to new readers, and the writer lock is released (*early lock
 //!    release*).

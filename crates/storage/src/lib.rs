@@ -49,7 +49,7 @@
 //!
 //! The stack is built for deterministic crash injection: all byte-level
 //! I/O flows through the [backend] abstraction (including a seeded
-//! fault-simulating [`FaultyBackend`](backend::FaultyBackend)), every
+//! fault-simulating [`FaultyBackend`]), every
 //! durability site passes a named [failpoint], recovery tolerates torn
 //! trailing pages and quarantines corrupt WALs instead of refusing to
 //! open, and [`Database::check_integrity`] verifies the full on-disk

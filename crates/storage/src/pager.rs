@@ -1,20 +1,19 @@
 //! The paging layer: one sharded, lock-striped cache of committed pages
 //! shared by every reader, plus the single writer's private write set.
 //!
-//! A committed page resolves through [`ReadLayer::with_committed`] — the
+//! A committed page resolves through `ReadLayer::with_committed` — the
 //! one place hits and misses are counted:
 //!
 //! 1. the committed **overlay** of a snapshot (pages committed since the
 //!    last checkpoint, shared `Arc<Page>` images),
-//! 2. the [`PageCache`]: lock-striped shards keyed by `PageId`, each with
+//! 2. the `PageCache`: lock-striped shards keyed by `PageId`, each with
 //!    its own clock eviction,
 //! 3. the data file.
 //!
 //! The writer's [`BufferPool`] puts its **write set** (pages dirtied by the
 //! in-flight transaction) in front of that path; snapshot readers
-//! ([`SnapshotReader`](crate::snapshot::SnapshotReader)) use it as is. No
-//! read ever needs the writer lock, and no shard lock is ever held across
-//! disk I/O.
+//! (`SnapshotReader`) use it as is. No read ever needs the writer lock, and
+//! no shard lock is ever held across disk I/O.
 //!
 //! Access is closure-scoped ([`PageRead::with_page`] /
 //! [`BufferPool::with_page_mut`]) so a page reference can never outlive one
@@ -232,7 +231,7 @@ impl ReadLayer {
 
 /// The single writer's page buffer: exactly the write set of the in-flight
 /// transaction, layered over a base committed snapshot and the shared
-/// [`ReadLayer`].
+/// `ReadLayer`.
 #[derive(Debug)]
 pub struct BufferPool {
     layer: Arc<ReadLayer>,
