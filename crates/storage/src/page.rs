@@ -215,9 +215,10 @@ impl Page {
 ///
 /// Slicing-by-16: each step folds 16 bytes in with 16 independent lookups
 /// in a 16 × 256 table built at compile time, and the last `len % 16`
-/// bytes go one at a time through the table's first row. About 5 µs per 8 KiB page where the bytewise
-/// loop it replaced took about 25 µs; the output is the same for every
-/// input, so pages and WAL frames are bit-identical.
+/// bytes go one at a time through the table's first row. About 5 µs per
+/// 8 KiB page where the bytewise loop it replaced took about 25 µs; the
+/// output is the same for every input, so pages and WAL frames are
+/// bit-identical.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLE;
     let mut crc = 0xFFFF_FFFFu32;
