@@ -1850,16 +1850,30 @@ fn e19_fanout() {
             "E19: audience {n} deliveries off: every member gets every event"
         );
 
-        // Zero loss at the receiving edge: a sampled viewer saw every
-        // slide, gap-free, through the room's last sequence number.
+        // Zero copies at the receiving edge: every viewer holds the first
+        // viewer's allocation of each event, not an equal copy of it.
+        let sample: Vec<_> = viewers[0].events.try_iter().collect();
+        for (v, conn) in viewers.iter().enumerate().skip(1) {
+            let got: Vec<_> = conn.events.try_iter().collect();
+            assert!(
+                got.len() == sample.len()
+                    && got
+                        .iter()
+                        .zip(&sample)
+                        .all(|(a, b)| std::sync::Arc::ptr_eq(a, b)),
+                "E19: audience {n}: viewer {v} did not receive the shared events"
+            );
+        }
+
+        // Zero loss at the receiving edge: the viewers saw every slide,
+        // gap-free, through the room's last sequence number.
         let last = srv
             .read_room(room, |r| Ok(r.change_log().last_seq()))
             .unwrap();
-        let sample: Vec<_> = viewers[n / 2].events.try_iter().collect();
         let seqs: Vec<u64> = sample.iter().map(|e| e.seq).collect();
         assert!(
             seqs.windows(2).all(|w| w[1] == w[0] + 1),
-            "E19: audience {n}: sampled viewer saw a sequence gap"
+            "E19: audience {n}: viewers saw a sequence gap"
         );
         assert_eq!(*seqs.last().unwrap(), last);
         assert_eq!(
@@ -1868,7 +1882,7 @@ fn e19_fanout() {
                 .filter(|e| matches!(&e.event, RoomEvent::Chat { .. }))
                 .count(),
             EVENTS,
-            "E19: audience {n}: sampled viewer lost slides"
+            "E19: audience {n}: viewers lost slides"
         );
 
         // The pre-refactor cost model for reference: one deep payload

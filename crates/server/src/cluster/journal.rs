@@ -108,7 +108,7 @@ impl RoomJournal {
         let mut r = Room::from_state(room, self.checkpoint.clone(), Vec::new(), &scratch, clock)?;
         let mut lossy = 0u64;
         for ev in &self.events {
-            if !r.ingest_replicated(ev) {
+            if !r.ingest_replicated(ev.clone()) {
                 lossy += 1;
             }
         }

@@ -81,7 +81,7 @@ fn cluster(shards: usize, users: usize) -> (ClusterFrontend, u64, u64) {
 }
 
 fn payloads(conn: &ClientConnection) -> Vec<RoomEvent> {
-    conn.events.try_iter().map(|e| e.event).collect()
+    conn.events.try_iter().map(|e| e.event.clone()).collect()
 }
 
 #[test]

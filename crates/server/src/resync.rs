@@ -14,6 +14,7 @@
 use crate::events::RoomEvent;
 use crate::room::SharedObjectId;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A room event tagged with its position in the room's total order.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,9 +32,14 @@ pub const DEFAULT_CHANGE_LOG_CAPACITY: usize = 1024;
 /// changed objects" — bounded: memory is O(capacity) regardless of session
 /// length. Old events are compacted away; the live room state stands in
 /// for them (see [`RoomSnapshot`]).
+///
+/// Each event is built once, into an `Arc`, when it is appended; the ring,
+/// every member queue, the replication tap, a resync replay and an
+/// exported [`RoomState`](crate::room::RoomState) tail all share that one
+/// allocation.
 #[derive(Debug)]
 pub struct ChangeLog {
-    events: VecDeque<SequencedEvent>,
+    events: VecDeque<Arc<SequencedEvent>>,
     capacity: usize,
     /// Sequence number the next appended event receives.
     next_seq: u64,
@@ -54,7 +60,7 @@ impl ChangeLog {
     /// appended event gets `last_seq + 1` and a resyncing client can still
     /// replay any tail the source could. `tail` must be dense, ascending,
     /// and end at `last_seq` (it may be empty for a brand-new room).
-    pub fn restore(capacity: usize, last_seq: u64, tail: Vec<SequencedEvent>) -> ChangeLog {
+    pub fn restore(capacity: usize, last_seq: u64, tail: Vec<Arc<SequencedEvent>>) -> ChangeLog {
         assert!(
             tail.windows(2).all(|w| w[1].seq == w[0].seq + 1),
             "restored tail must be dense"
@@ -64,7 +70,7 @@ impl ChangeLog {
             "restored tail must end at last_seq"
         );
         let capacity = capacity.max(1);
-        let mut events: VecDeque<SequencedEvent> = tail.into();
+        let mut events: VecDeque<Arc<SequencedEvent>> = tail.into();
         while events.len() > capacity {
             events.pop_front();
         }
@@ -78,7 +84,7 @@ impl ChangeLog {
     /// Appends an already-sequenced event verbatim — the replicated-journal
     /// replay path, where the sequence number was assigned by the room
     /// that originally broadcast the event. The order must stay dense.
-    pub fn push_sequenced(&mut self, event: SequencedEvent) {
+    pub fn push_sequenced(&mut self, event: Arc<SequencedEvent>) {
         assert_eq!(
             event.seq, self.next_seq,
             "replicated event breaks the dense total order"
@@ -90,18 +96,15 @@ impl ChangeLog {
         self.events.push_back(event);
     }
 
-    /// Appends an event, assigning it the next sequence number. Evicts the
-    /// oldest event when full.
-    pub fn push(&mut self, event: RoomEvent) -> SequencedEvent {
-        let sequenced = SequencedEvent {
+    /// Appends an event, assigning it the next sequence number, and returns
+    /// the shared handle the ring now holds. Evicts the oldest event when
+    /// full.
+    pub fn push(&mut self, event: RoomEvent) -> Arc<SequencedEvent> {
+        let sequenced = Arc::new(SequencedEvent {
             seq: self.next_seq,
             event,
-        };
-        self.next_seq += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(sequenced.clone());
+        });
+        self.push_sequenced(sequenced.clone());
         sequenced
     }
 
@@ -141,30 +144,32 @@ impl ChangeLog {
     /// The retained events with `seq > last_seen`, oldest first — or
     /// `None` if `last_seen` is beyond the horizon (events after it were
     /// already evicted), in which case the caller must snapshot.
-    pub fn events_since(&self, last_seen: u64) -> Option<Vec<SequencedEvent>> {
+    pub fn events_since(&self, last_seen: u64) -> Option<Vec<Arc<SequencedEvent>>> {
         if last_seen >= self.last_seq() {
             return Some(Vec::new());
         }
         match self.first_retained_seq() {
             // The first missed event (last_seen + 1) must still be retained.
-            Some(first) if last_seen + 1 >= first => Some(
-                self.events
-                    .iter()
-                    .filter(|e| e.seq > last_seen)
-                    .cloned()
-                    .collect(),
-            ),
+            Some(first) if last_seen + 1 >= first => {
+                Some(self.retained_from(last_seen + 1).cloned().collect())
+            }
             _ => None,
         }
     }
 
-    /// Iterates retained events with `seq >= from` (for trigger scans).
-    pub(crate) fn retained_from(&self, from: u64) -> impl Iterator<Item = &SequencedEvent> {
-        self.events.iter().filter(move |e| e.seq >= from)
+    /// Iterates retained events with `seq >= from`, oldest first. The ring
+    /// is dense, so the first match sits at index `from − first retained
+    /// seq`: the scan starts there rather than filtering the whole ring.
+    pub(crate) fn retained_from(&self, from: u64) -> impl Iterator<Item = &Arc<SequencedEvent>> {
+        let skip = self
+            .first_retained_seq()
+            .map_or(0, |first| from.saturating_sub(first));
+        self.events
+            .range(skip.min(self.events.len() as u64) as usize..)
     }
 
     /// All retained events, oldest first.
-    pub fn retained(&self) -> impl Iterator<Item = &SequencedEvent> {
+    pub fn retained(&self) -> impl Iterator<Item = &Arc<SequencedEvent>> {
         self.events.iter()
     }
 }
@@ -191,7 +196,8 @@ pub struct RoomSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Resync {
     /// The missed tail, oldest first — apply in order after `last_seen`.
-    Events(Vec<SequencedEvent>),
+    /// Each entry is the change log's own shared event, not a copy.
+    Events(Vec<Arc<SequencedEvent>>),
     /// Too far behind: replace local state with the snapshot.
     Snapshot(RoomSnapshot),
 }
@@ -251,6 +257,23 @@ mod tests {
         assert!(log.events_since(6).is_none());
         // last_seen 7 still works: the first missed event is 8.
         assert_eq!(log.events_since(7).expect("edge").len(), 3);
+    }
+
+    #[test]
+    fn retained_from_starts_at_the_requested_seq() {
+        let mut log = ChangeLog::new(4);
+        let from = |log: &ChangeLog, seq| log.retained_from(seq).map(|e| e.seq).collect::<Vec<_>>();
+        assert!(from(&log, 1).is_empty());
+        for i in 1..=10u64 {
+            log.push(chat(i));
+        }
+        // Retained: 7..=10.
+        assert_eq!(from(&log, 0), vec![7, 8, 9, 10]);
+        assert_eq!(from(&log, 7), vec![7, 8, 9, 10]);
+        assert_eq!(from(&log, 9), vec![9, 10]);
+        assert_eq!(from(&log, 10), vec![10]);
+        assert!(from(&log, 11).is_empty());
+        assert!(from(&log, u64::MAX).is_empty());
     }
 
     #[test]

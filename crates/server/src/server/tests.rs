@@ -81,7 +81,7 @@ fn setup() -> (InteractionServer, u64, u64, ComponentId, ComponentId) {
 fn drain(conn: &ClientConnection) -> Vec<RoomEvent> {
     let mut out = Vec::new();
     while let Some(e) = conn.events.try_recv() {
-        out.push(e.event);
+        out.push(e.event.clone());
     }
     out
 }
@@ -885,7 +885,7 @@ fn resync_within_horizon_replays_identical_order() {
         },
     )
     .unwrap();
-    let mut b_seen: Vec<SequencedEvent> = b.events.try_iter().collect();
+    let mut b_seen: Vec<Arc<SequencedEvent>> = b.events.try_iter().collect();
     let last_seen = b_seen.last().map(|e| e.seq).unwrap_or(0);
     drop(b);
 
@@ -936,8 +936,9 @@ fn resync_within_horizon_replays_identical_order() {
     // for events sent before dr-b first joined.
     b_seen.extend(replay);
     b_seen.extend(b2.events.try_iter());
-    let a_seen: Vec<SequencedEvent> = a.events.try_iter().collect();
-    let a_tail: Vec<&SequencedEvent> = a_seen.iter().filter(|e| e.seq >= b_seen[0].seq).collect();
+    let a_seen: Vec<Arc<SequencedEvent>> = a.events.try_iter().collect();
+    let a_tail: Vec<&Arc<SequencedEvent>> =
+        a_seen.iter().filter(|e| e.seq >= b_seen[0].seq).collect();
     assert_eq!(a_tail.len(), b_seen.len(), "no event lost or duplicated");
     for (x, y) in a_tail.iter().zip(b_seen.iter()) {
         assert_eq!(**x, *y, "identical total event order");
@@ -1002,7 +1003,7 @@ fn resync_beyond_horizon_returns_snapshot() {
         },
     )
     .unwrap();
-    let live: Vec<SequencedEvent> = b2.events.try_iter().collect();
+    let live: Vec<Arc<SequencedEvent>> = b2.events.try_iter().collect();
     assert!(live.iter().all(|e| e.seq > snap.seq));
     assert!(live
         .iter()
@@ -1346,7 +1347,7 @@ fn stress_concurrent_rooms_members_and_observers() {
     // Per-room integrity: each member of a room saw the identical total
     // order with dense sequence numbers, and only its own room's traffic.
     for (r, &room) in rooms.iter().enumerate() {
-        let mut streams: Vec<Vec<SequencedEvent>> = Vec::new();
+        let mut streams: Vec<Vec<Arc<SequencedEvent>>> = Vec::new();
         for ((cr, _), conn) in &conns {
             if *cr == r {
                 streams.push(conn.events.try_iter().collect());

@@ -208,11 +208,18 @@ impl Wal {
         self.backend.as_mut()
     }
 
-    fn append(&mut self, tag: u8, payload: &[u8]) -> Result<()> {
-        failpoint::hit(failpoint::WAL_APPEND)?;
-        let mut frame = Writer::with_capacity(payload.len() + 9);
+    /// Starts a frame: its tag and payload length, with room for the
+    /// `payload_len` payload bytes the caller writes next and the checksum.
+    fn frame(tag: u8, payload_len: usize) -> Writer {
+        let mut frame = Writer::with_capacity(payload_len + 9);
         frame.u8(tag);
-        frame.bytes32(payload);
+        frame.u32(payload_len as u32);
+        frame
+    }
+
+    /// Seals a frame from [`Self::frame`] with its checksum and appends it.
+    fn append(&mut self, mut frame: Writer) -> Result<()> {
+        failpoint::hit(failpoint::WAL_APPEND)?;
         let sum = crc32(frame.as_slice());
         frame.u32(sum);
         let end = self.backend.len()?;
@@ -224,11 +231,12 @@ impl Wal {
         static LAT: rcmo_obs::LazyHistogram =
             rcmo_obs::LazyHistogram::new("storage.wal.append.us", rcmo_obs::bounds::LATENCY_US);
         let _t = LAT.start_timer();
-        let mut payload = Writer::with_capacity(16 + PAGE_SIZE);
-        payload.u64(txn);
-        payload.u64(page.0);
-        payload.bytes(image);
-        self.append(TAG_PAGE, payload.as_slice())
+        // One buffer for the whole frame: the image is copied once.
+        let mut frame = Self::frame(TAG_PAGE, 16 + PAGE_SIZE);
+        frame.u64(txn);
+        frame.u64(page.0);
+        frame.bytes(image);
+        self.append(frame)
     }
 
     /// Appends a commit marker for `txn`.
@@ -247,9 +255,9 @@ impl Wal {
                 )));
             }
         }
-        let mut payload = Writer::with_capacity(8);
-        payload.u64(txn);
-        self.append(TAG_COMMIT, payload.as_slice())?;
+        let mut frame = Self::frame(TAG_COMMIT, 8);
+        frame.u64(txn);
+        self.append(frame)?;
         self.last_commit_txn = Some(txn);
         Ok(())
     }

@@ -14,7 +14,7 @@ use rcmo::core::{FormKind, MediaRef, MultimediaDocument, PresentationForm};
 use rcmo::imaging::{ct_phantom, segment_image, LineElement, SegmentFill, TextElement};
 use rcmo::mediadb::{AccessLevel, DocumentObject, ImageObject, MediaDb};
 use rcmo::server::events::TriggerCondition;
-use rcmo::server::{Action, InteractionServer, RoomEvent};
+use rcmo::server::{Action, InteractionServer};
 
 fn main() {
     // ----- Database setup (the Oracle of Figure 1, in Rust). -----
@@ -152,13 +152,13 @@ fn main() {
     .unwrap();
 
     // Both partners observed the identical event stream.
-    let seen_by_orlov: Vec<RoomEvent> = orlov.events.try_iter().map(|e| e.event).collect();
+    let seen_by_orlov: Vec<_> = orlov.events.try_iter().collect();
     println!(
         "\ndr-orlov observed {} events; last three:",
         seen_by_orlov.len()
     );
     for e in seen_by_orlov.iter().rev().take(3).rev() {
-        println!("  {e:?}");
+        println!("  {:?}", e.event);
     }
     drop(gudes);
 

@@ -181,7 +181,7 @@ fn eight_threads_four_rooms_no_deadlock_no_crosstalk() {
     }
 
     for (r, &room) in rooms.iter().enumerate() {
-        let streams: Vec<Vec<SequencedEvent>> = conns
+        let streams: Vec<Vec<Arc<SequencedEvent>>> = conns
             .iter()
             .filter(|(cr, _)| *cr == r)
             .map(|(_, c)| c.events.try_iter().collect())

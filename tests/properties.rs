@@ -971,6 +971,7 @@ fn change_log_resync_has_no_gap_at_the_eviction_boundary() {
 fn fanout_queues_preserve_the_broadcast_total_order() {
     use rcmo::mediadb::{AccessLevel, DocumentObject, MediaDb};
     use rcmo::server::{Action, InteractionServer, JoinRequest, SequencedEvent};
+    use std::sync::Arc;
 
     let mut rng = StdRng::seed_from_u64(0xFA_2007);
     for case in 0..24 {
@@ -1034,9 +1035,9 @@ fn fanout_queues_preserve_the_broadcast_total_order() {
         let last = srv
             .read_room(room, |r| Ok(r.change_log().last_seq()))
             .unwrap();
-        let mut reference: Option<Vec<SequencedEvent>> = None;
+        let mut reference: Option<Vec<Arc<SequencedEvent>>> = None;
         for (m, conn) in conns.iter().enumerate() {
-            let got: Vec<SequencedEvent> = conn.events.try_iter().collect();
+            let got: Vec<Arc<SequencedEvent>> = conn.events.try_iter().collect();
             let seqs: Vec<u64> = got.iter().map(|e| e.seq).collect();
             assert!(
                 seqs.windows(2).all(|w| w[1] == w[0] + 1),
