@@ -2346,6 +2346,17 @@ fn e21_sim() {
         report.failovers,
         report.migrations
     );
+    // The full scenario's behaviour, pinned: a change that must keep
+    // behaviour identical cannot move these, and one meant to move them
+    // re-pins them and says why.
+    assert_eq!(
+        report.trace_fingerprint, 0xf642_21ec_6136_5157,
+        "E21: full-scenario trace fingerprint moved"
+    );
+    assert_eq!(
+        report.trace_len, 164_070,
+        "E21: full-scenario trace length moved"
+    );
     println!("\n(one virtual hour of 10k-room conference chaos, replayed from one");
     println!(" seed; every invariant held through every kill, move, and crash)");
 }
