@@ -713,9 +713,9 @@ impl ClusterFrontend {
 
     /// Live-migrates a room to `target`: freeze on the source, export the
     /// migration-grade state (snapshot + sessions + change-log tail),
-    /// rebuild on the target with the members' live channels re-attached,
-    /// thaw. The room's total order continues with gap-free sequence
-    /// numbers; calls racing the handoff retry until the directory settles.
+    /// rebuild on the target, which takes over the live event log, thaw.
+    /// The room's total order continues with gap-free sequence numbers;
+    /// calls racing the handoff retry until the directory settles.
     pub fn migrate_room(&self, room: RoomId, target: ShardId) -> Result<()> {
         let t0 = self.clock.now_us();
         if self.shard_health(target) != ShardHealth::Alive {
@@ -825,7 +825,7 @@ impl ClusterFrontend {
             self.shards[target].adopt_room(crate::server::DetachedRoom {
                 id: room,
                 state,
-                members: Vec::new(),
+                log: None,
             })?;
             self.attach_journal(room, target)?;
             self.failover_rooms.inc();

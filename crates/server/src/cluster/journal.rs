@@ -105,10 +105,10 @@ impl RoomJournal {
         // A scratch registry: the rebuild is a pure computation; the
         // adopted room re-registers under its destination shard.
         let scratch = Registry::new();
-        let mut r = Room::from_state(room, self.checkpoint.clone(), Vec::new(), &scratch, clock)?;
+        let mut r = Room::from_state(room, self.checkpoint.clone(), None, &scratch, clock)?;
         let mut lossy = 0u64;
         for ev in &self.events {
-            if !r.ingest_replicated(ev.clone()) {
+            if !r.ingest_replicated(ev.clone())? {
                 lossy += 1;
             }
         }

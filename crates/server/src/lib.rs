@@ -14,16 +14,16 @@
 //!   object permits sending only the relevant parts of the object".
 //! * [`room`] — shared rooms: membership, the in-room object registry, the
 //!   change buffer, freeze/release, per-viewer presentation sessions.
-//! * [`resync`] — fault tolerance: sequence-numbered events, the bounded
-//!   ring-buffer change log, and snapshot-based client resynchronisation
-//!   after a dropped connection.
+//! * [`resync`] — fault tolerance: sequence-numbered events and
+//!   snapshot-based client resynchronisation after a dropped connection.
 //! * [`role`] — conference roles ([`Role::Presenter`] /
 //!   [`Role::Moderator`] / [`Role::Viewer`]) and the per-role capability
 //!   table every mutating entry point checks — the asymmetric lecture
 //!   room layered over the paper's symmetric conference.
-//! * [`fanout`] — encode-once broadcast: each event is encoded once into
-//!   a shared `Arc` payload and fanned out through bounded per-member
-//!   queues; slow consumers are evicted and re-enter via snapshot resync.
+//! * [`fanout`] — the room's event log: each event is appended once, as a
+//!   shared `Arc` payload, and every member's stream reads the one log
+//!   through its own bounded cursor; slow consumers are evicted and
+//!   re-enter via snapshot resync.
 //! * [`delivery`] — bandwidth-adaptive layered delivery: per-member EWMA
 //!   bandwidth estimates drive a [`delivery::DeliveryPolicy`] that picks
 //!   an LIC1 layer depth from each object's *real* byte ladder, served
@@ -58,8 +58,8 @@ pub use cluster::{ClusterConfig, ClusterFrontend, ClusterStats, ShardHealth, Sha
 pub use delivery::{DeliveryConfig, DeliveryPolicy, DeliveryState, ImageDelivery, ObjectCache};
 pub use error::{JoinRejectCause, ServerError};
 pub use events::{Action, Delta, RoomEvent};
-pub use fanout::{EventStream, DEFAULT_MEMBER_QUEUE_BOUND};
-pub use resync::{ChangeLog, Resync, RoomSnapshot, SequencedEvent};
+pub use fanout::{ChangeLog, EventStream, DEFAULT_MEMBER_QUEUE_BOUND};
+pub use resync::{Resync, RoomSnapshot, SequencedEvent};
 pub use role::{Capability, JoinRequest, Role};
 pub use room::{RoomConfig, RoomId, RoomState, RoomStats, SharedObjectId};
 pub use server::{ClientConnection, DetachedRoom, InteractionServer, RoomHandle};

@@ -3,10 +3,10 @@
 use crate::delivery::{DeliveryConfig, ImageDelivery};
 use crate::error::{Result, ServerError};
 use crate::events::{Action, TriggerCondition};
-use crate::fanout::{EventQueue, EventStream};
+use crate::fanout::EventStream;
 use crate::resync::{Resync, SequencedEvent};
 use crate::role::{Capability, JoinRequest, Role};
-use crate::room::{Room, RoomConfig, RoomId, RoomState, RoomStats};
+use crate::room::{Room, RoomConfig, RoomId, RoomLog, RoomState, RoomStats};
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 use rcmo_core::MultimediaDocument;
@@ -28,8 +28,8 @@ use std::sync::{Arc, OnceLock};
 pub type RoomHandle = Arc<Mutex<Room>>;
 
 /// A room lifted out of its server for a live migration: the exported
-/// [`RoomState`] plus the members' live event queues, which the
-/// destination re-attaches so clients keep their streams across the move.
+/// [`RoomState`] plus the event log its members' streams read, which the
+/// destination takes over, so clients keep their streams across the move.
 #[derive(Debug)]
 pub struct DetachedRoom {
     /// The room id (kept across the migration — room ids are
@@ -37,8 +37,9 @@ pub struct DetachedRoom {
     pub id: RoomId,
     /// The exported state (snapshot + sessions + roles + change-log tail).
     pub state: RoomState,
-    /// The live member queues, in join order.
-    pub members: Vec<(String, EventQueue)>,
+    /// The event log and its members. `None` for a failover rebuild: the
+    /// log is restored from `state.tail`, and members resync.
+    pub log: Option<RoomLog>,
 }
 
 /// A client's end of a room: the user name, the granted role, and the
@@ -304,7 +305,7 @@ impl InteractionServer {
 
     /// Detaches a room for a live migration: the room must already be
     /// frozen (so the exported state is final); it is removed from this
-    /// server's map and returned as state + live member channels. Calls
+    /// server's map and returned as state + its live event log. Calls
     /// routed here afterwards see [`ServerError::UnknownRoom`] — the
     /// cluster layer holds the directory entry in `Migrating` state for
     /// the duration, so clients retry rather than fail.
@@ -321,21 +322,21 @@ impl InteractionServer {
         self.close_room(room)?;
         let mut r = handle.lock();
         let state = r.export_state();
-        let members = r.take_member_channels();
         Ok(DetachedRoom {
             id: room,
             state,
-            members,
+            log: Some(r.take_log()),
         })
     }
 
     /// Adopts a detached (or failover-rebuilt) room: rebuilds it from the
-    /// exported state under this server's registry, re-attaches the member
-    /// channels, and inserts it thawed. The rebuilt room continues the
-    /// source's event order with gap-free sequence numbers.
+    /// exported state under this server's registry, takes over its event
+    /// log and members, and inserts it thawed. The rebuilt room continues
+    /// the source's event order with gap-free sequence numbers; a `tail`
+    /// that breaks it is [`ServerError::Invalid`] and inserts nothing.
     pub fn adopt_room(&self, detached: DetachedRoom) -> Result<()> {
-        let DetachedRoom { id, state, members } = detached;
-        let room = Room::from_state(id, state, members, &self.obs, self.clock.clone())?;
+        let DetachedRoom { id, state, log } = detached;
+        let room = Room::from_state(id, state, log, &self.obs, self.clock.clone())?;
         self.insert_room(id, Arc::new(Mutex::new(room)))
     }
 

@@ -1860,3 +1860,48 @@ fn warm_cache_prefetches_the_documents_stored_images() {
     );
     assert!(snap.counters["server.delivery.cache.hit.count"] >= 1);
 }
+
+#[test]
+fn adopting_a_broken_change_log_tail_is_invalid_and_inserts_nothing() {
+    let (srv, doc_id, _, _, _) = setup();
+    let room = srv.create_room("dr-a", "consult", doc_id).unwrap();
+    let _conn = srv.join(room, &JoinRequest::moderator("dr-a")).unwrap();
+    for i in 0..3 {
+        let text = format!("c{i}");
+        srv.act(room, "dr-a", Action::Chat { text }).unwrap();
+    }
+    srv.freeze_room_for_migration(room).unwrap();
+    let state = srv.detach_room(room).unwrap().state;
+    assert_eq!(state.tail.len(), 4);
+
+    let mut gap = state.clone();
+    gap.tail.remove(1);
+    let mut short = state.clone();
+    short.tail.pop();
+    for broken in [gap, short] {
+        let detached = DetachedRoom {
+            id: room,
+            state: broken,
+            log: None,
+        };
+        assert!(matches!(
+            srv.adopt_room(detached),
+            Err(ServerError::Invalid(_))
+        ));
+        assert!(matches!(
+            srv.read_room(room, |_| Ok(())),
+            Err(ServerError::UnknownRoom(_))
+        ));
+    }
+    let detached = DetachedRoom {
+        id: room,
+        state,
+        log: None,
+    };
+    srv.adopt_room(detached).unwrap();
+    assert_eq!(
+        srv.read_room(room, |r| Ok(r.change_log().last_seq()))
+            .unwrap(),
+        4
+    );
+}
